@@ -4,16 +4,15 @@
 //! Runs the representative workloads — thread-scaling comparisons (ensemble
 //! training, batch prediction, sampler pool evaluation, NAS population
 //! scoring) and baseline-vs-optimized comparisons (`kernel_matmul`,
-//! `batch_forward`, `multi_query_tape`, `mixed_device_tape`,
-//! `serve_throughput`) — prints the table, writes `BENCH_parallel.json` and
-//! the kernel micro-bench table `BENCH_kernels.md` at the workspace root
-//! (override the paths with `NASFLAT_BENCH_PARALLEL_OUT` /
-//! `NASFLAT_BENCH_KERNELS_OUT`), and **exits non-zero if any comparison's
-//! outputs diverge bitwise** — the contract the CI `bench-quick` job
-//! enforces (which additionally fails the build when `batch_forward` drops
-//! below 1×, `multi_query_tape` below 1.3×, `mixed_device_tape` or
-//! `serve_throughput` below 1.2×, or the 4-thread scaling entries below 2×
-//! on multi-core runners).
+//! `batch_forward`, `mixed_device_tape`, `serve_throughput`) — prints the
+//! table, writes `BENCH_parallel.json` and the kernel micro-bench table
+//! `BENCH_kernels.md` at the workspace root (override the paths with
+//! `NASFLAT_BENCH_PARALLEL_OUT` / `NASFLAT_BENCH_KERNELS_OUT`), and **exits
+//! non-zero if any comparison's outputs diverge bitwise** — the contract the
+//! CI `bench-quick` job enforces (which additionally fails the build when
+//! `batch_forward` drops below 1.3×, `mixed_device_tape` or `serve_throughput`
+//! below 1.2×, or the 4-thread scaling entries below 2× on multi-core
+//! runners).
 
 use nasflat_bench::parallel_harness::{
     kernel_microbench, kernel_table_markdown, run_parallel_bench,

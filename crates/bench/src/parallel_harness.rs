@@ -9,9 +9,8 @@
 //! - [`ComparisonKind::Baseline`]: a *baseline* implementation vs the
 //!   *optimized* one at the **same** thread count — `kernel_matmul` (scalar
 //!   reference matmul vs the kernel layer), `batch_forward`
-//!   (per-architecture fresh tapes vs `BatchSession` reuse, tape batching
-//!   pinned off), `multi_query_tape` (the PR-3 per-architecture session
-//!   sweep vs block-diagonal multi-query tape passes), `mixed_device_tape`
+//!   (per-architecture one-block passes on fresh tapes vs chunked
+//!   `BatchSession` multi-query passes), `mixed_device_tape`
 //!   (a per-(arch, device) query loop vs mixed-device stacking via the
 //!   per-row hardware-embedding gather), `serve_throughput` (the serving
 //!   layer's `DynamicBatcher` at batch 1 vs dynamic micro-batching over a
@@ -20,27 +19,19 @@
 //!   connections coalesced by the scheduler), `serve_deadline` (the
 //!   deadline-aware ingress scheduler: the FIFO drain vs EDF + aging over
 //!   an adversarial tight-budget/best-effort mix, `outputs_match` also
-//!   requiring zero missed or expired deadlines), `telemetry_overhead`
+//!   requiring zero missed or expired deadlines), and `telemetry_overhead`
 //!   (the same pipelined ingress stream with telemetry off vs on — the
 //!   observability layer must stay within ~5% and bit-invisible, with the
-//!   `METRICS` scrape carrying every per-stage histogram), and `train_batched_step`
-//!   (the pre-PR-8 trainer — `NASFLAT_TRAIN_BATCH=0`, B per-arch forwards
-//!   per step — vs stacked gradient steps with ONE backward per
-//!   mini-batch, over a full pretrain + transfer + predict pipeline).
-//!   Baseline entries are timed best-of-3 alternating repetitions.
+//!   `METRICS` scrape carrying every per-stage histogram). Baseline entries
+//!   are timed best-of-3 alternating repetitions.
 //!
 //! Either way the two runs' outputs are compared **bitwise** (every `f32`
-//! via `to_bits`) — except `train_batched_step`, whose two training paths
-//! are rank-equivalent rather than bit-identical by contract, so its
-//! `outputs_match` asserts Spearman ≥ 0.99 between the two sides'
-//! predictions. A divergence is reported as a failure, and the wall-clock
-//! ratio is the speedup the CI `bench-quick` job tracks over time (it fails
-//! the build when `batch_forward` regresses below 1×, `multi_query_tape`
-//! below its 1.3× quick-mode target, `mixed_device_tape`,
-//! `serve_throughput`, or `serve_ingress` below their 1.2× targets,
-//! `telemetry_overhead` below 0.95×, or —
-//! on ≥4-core runners — `train_batched_step` below its 2× acceptance
-//! target or the `ensemble_train_transfer` / `batch_predict` thread
+//! via `to_bits`). A divergence is reported as a failure, and the
+//! wall-clock ratio is the speedup the CI `bench-quick` job tracks over
+//! time (it fails the build when `batch_forward` regresses below 1.3×,
+//! `mixed_device_tape`, `serve_throughput`, or `serve_ingress` below their
+//! 1.2× targets, `telemetry_overhead` below 0.95×, or — on ≥4-core
+//! runners — the `ensemble_train_transfer` / `batch_predict` thread
 //! scaling below 2×).
 //!
 //! The report serializes to `BENCH_parallel.json` with schema
@@ -475,10 +466,9 @@ pub fn run_parallel_bench(threads: usize) -> ParallelReport {
 
     // 2. Batch prediction: a transferred predictor scoring the full pool.
     //    Transfer happens outside the timed region — this isolates the
-    //    per-architecture forward passes. Two gates share the scorer:
-    //    `batch_predict` (1 vs N threads on the batched path) and
-    //    `batch_forward` (per-arch fresh tapes vs `BatchSession` reuse at
-    //    the same N threads — the PR-3 acceptance comparison).
+    //    forward passes. Two gates share the scorer: `batch_predict` (1 vs N
+    //    threads on the batched path) and `batch_forward` (per-arch fresh
+    //    tapes vs `BatchSession` multi-query passes at the same N threads).
     {
         let pool = &wb.pool[..pool_n.min(wb.pool.len())];
         let table = nasflat_hw::LatencyTable::build(
@@ -496,105 +486,39 @@ pub fn run_parallel_bench(threads: usize) -> ParallelReport {
             digest_f32(&mut digest, &scorer.score_indices(full_pool, &all));
             digest
         }));
+        // `batch_forward` is the stacking gate: one-block passes on fresh
+        // tapes vs passes of `TAPE_BLOCK` queries on reused session tapes,
+        // same thread count, same scorer. Each side sweeps the pool several
+        // times (on top of measure_pair's best-of-reps) so the
+        // ~millisecond workload rises above scheduler noise on shared CI
+        // runners.
+        let sweeps = 4;
         targets.push(measure_pair(
             "batch_forward",
             threads,
             || {
-                // Baseline: the PR-2 path — one fresh autograd tape per
+                // Baseline: one fresh autograd tape (a one-block pass) per
                 // architecture, parallel map over the pool.
                 let mut digest = Vec::new();
-                let scores = nasflat_parallel::par_map(&all, |&i| scorer.score(&full_pool[i]));
-                digest_f32(&mut digest, &scores);
+                for _ in 0..sweeps {
+                    digest.clear();
+                    let scores = nasflat_parallel::par_map(&all, |&i| scorer.score(&full_pool[i]));
+                    digest_f32(&mut digest, &scores);
+                }
                 digest
             },
             || {
                 // Optimized: chunked BatchSession tapes (graph built once
-                // per worker, buffers recycled per query). Tape batching is
-                // pinned off so this gate keeps measuring the PR-3 session
-                // reuse alone; the block-diagonal layer on top is gated by
-                // `multi_query_tape` below.
+                // per worker, buffers recycled per pass) evaluating
+                // multi-query tape passes.
                 let mut digest = Vec::new();
-                nasflat_core::with_tape_batch(0, || {
+                for _ in 0..sweeps {
+                    digest.clear();
                     digest_f32(&mut digest, &scorer.score_indices(full_pool, &all));
-                });
+                }
                 digest
             },
         ));
-        // The PR-4 gate: multi-query block-diagonal tape passes vs the PR-3
-        // per-architecture session sweep, same thread count, same scorer —
-        // `speedup` is the pure stacking win and `outputs_match` the
-        // bit-identity verdict the determinism contract demands. Each side
-        // sweeps the pool several times (on top of measure_pair's
-        // best-of-reps) so the ~millisecond workload rises above scheduler
-        // noise on shared CI runners.
-        let tape_reps = 2;
-        targets.push(measure_pair(
-            "multi_query_tape",
-            threads,
-            || {
-                let mut digest = Vec::new();
-                nasflat_core::with_tape_batch(0, || {
-                    for _ in 0..tape_reps {
-                        digest.clear();
-                        digest_f32(&mut digest, &scorer.score_indices(full_pool, &all));
-                    }
-                });
-                digest
-            },
-            || {
-                let mut digest = Vec::new();
-                nasflat_core::with_tape_batch(nasflat_core::DEFAULT_TAPE_BATCH, || {
-                    for _ in 0..tape_reps {
-                        digest.clear();
-                        digest_f32(&mut digest, &scorer.score_indices(full_pool, &all));
-                    }
-                });
-                digest
-            },
-        ));
-
-        // The PR-8 gate: batched gradient steps. Baseline: the pre-PR
-        // trainer, pinned via `NASFLAT_TRAIN_BATCH=0` — B per-architecture
-        // forwards and a scalar-var loss per step. Optimized: stacked steps
-        // (one block-diagonal forward + ONE backward per mini-batch) at the
-        // default threshold. The workload is the full training pipeline —
-        // pretrain, transfer, predict — so the ratio is the end-to-end
-        // training win. Trained weights are only *rank-equivalent* across
-        // the two paths (embedding gather-backward accumulation order — see
-        // `train_step_on`), so this entry cannot use `measure_pair`'s
-        // bitwise digest gate: `outputs_match` instead asserts Spearman
-        // >= 0.99 between the two sides' predictions.
-        {
-            let mut wall_base = f64::MAX;
-            let mut wall_opt = f64::MAX;
-            let mut base_scores = Vec::new();
-            let mut opt_scores = Vec::new();
-            let run = |tb: usize| {
-                nasflat_parallel::with_threads(threads, || {
-                    nasflat_core::with_train_batch(tb, || {
-                        let mut p = PretrainedTask::build(task, pool, &table, None, cfg.clone());
-                        p.transfer_predict(&task.test[0], &cfg.sampler, 3, &eval_indices)
-                            .expect("random sampler cannot fail")
-                    })
-                })
-            };
-            for _ in 0..PAIR_REPS {
-                let t0 = Instant::now();
-                base_scores = run(0);
-                wall_base = wall_base.min(t0.elapsed().as_secs_f64() * 1e3);
-                let t1 = Instant::now();
-                opt_scores = run(nasflat_core::DEFAULT_TRAIN_BATCH);
-                wall_opt = wall_opt.min(t1.elapsed().as_secs_f64() * 1e3);
-            }
-            let rho = nasflat_metrics::spearman_rho(&base_scores, &opt_scores).unwrap_or(f32::NAN);
-            targets.push(ParallelTarget {
-                name: "train_batched_step".into(),
-                kind: ComparisonKind::Baseline,
-                wall_ms_single: wall_base,
-                wall_ms_parallel: wall_opt,
-                outputs_match: rho.is_finite() && rho >= 0.99,
-            });
-        }
     }
 
     // 2b. Kernel layer: scalar reference matmul vs the cache-blocked
@@ -679,7 +603,7 @@ pub fn run_parallel_bench(threads: usize) -> ParallelReport {
             threads,
             || {
                 // Baseline: one session, every (arch, device) pair queried
-                // alone (the PR-3 path — no cross-device stacking).
+                // alone (one-block passes — no cross-device stacking).
                 let mut digest = Vec::new();
                 for _ in 0..serve_reps {
                     digest.clear();
@@ -699,7 +623,6 @@ pub fn run_parallel_bench(threads: usize) -> ParallelReport {
                 for _ in 0..serve_reps {
                     digest.clear();
                     let mut session = predictor.session();
-                    session.set_tape_batch(nasflat_core::DEFAULT_TAPE_BATCH.max(2));
                     let scores = session.predict_many_devices(&archs, &devices, None);
                     digest_f32(&mut digest, &scores);
                 }

@@ -424,10 +424,10 @@ impl TransferredPredictor<'_> {
     }
 
     /// Scores for pool architectures by index, evaluated in parallel with
-    /// one [`BatchSession`](crate::BatchSession) tape per worker; above the
-    /// [`tape_batch`](crate::tape_batch) threshold each worker evaluates
-    /// multi-query block-diagonal tape passes. Bit-identical to a sequential
-    /// fresh-tape loop at any thread count and tape-batch setting.
+    /// one [`BatchSession`](crate::BatchSession) tape per worker, each
+    /// worker evaluating multi-query tape passes of
+    /// [`TAPE_BLOCK`](crate::TAPE_BLOCK) architectures. Bit-identical to a
+    /// sequential fresh-tape loop at any thread count.
     pub fn score_indices(&self, pool: &[Arch], indices: &[usize]) -> Vec<f32> {
         let archs: Vec<&Arch> = indices.iter().map(|&i| &pool[i]).collect();
         let supp = self.supp_batch(&archs);
@@ -437,7 +437,7 @@ impl TransferredPredictor<'_> {
 
     /// Scores for a batch of arbitrary architectures, evaluated like
     /// [`TransferredPredictor::score_indices`] (one session per worker,
-    /// multi-query tape passes above the threshold).
+    /// multi-query tape passes).
     pub fn score_batch(&self, archs: &[Arch]) -> Vec<f32> {
         let refs: Vec<&Arch> = archs.iter().collect();
         let supp = self.supp_batch(&refs);

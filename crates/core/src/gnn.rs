@@ -12,7 +12,6 @@
 
 use rand::Rng;
 
-use nasflat_tensor::batched::BlockLayout;
 use nasflat_tensor::{Graph, LayerNorm, Linear, ParamStore, Tensor, Var};
 
 use crate::config::GnnModuleKind;
@@ -52,34 +51,13 @@ impl DgfLayer {
         g.add(gated, xf)
     }
 
-    /// Multi-query forward over a stacked `Σn_b×in` feature matrix: the
-    /// dense projections run once over the whole stack and aggregation
-    /// multiplies by the *implicit* block-diagonal propagation operand via
-    /// [`Graph::block_diag_matmul`] (per-block kernel calls — `Σn_b²`
-    /// work instead of the dense `(Σn_b)²` zero-scan). Bit-identical to B
-    /// separate [`DgfLayer::forward`] calls.
+    /// Multi-query forward over B equal-size blocks stacked into a
+    /// `B·n×in` feature matrix: the dense projections run once over the
+    /// whole stack, the propagation matrices live on the tape as one stacked
+    /// `B·n×n` constant (`prop_stack`), and aggregation is a single
+    /// [`Graph::block_matmul`] node. Bit-identical to B separate
+    /// [`DgfLayer::forward`] calls.
     pub fn forward_batched(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        props: &[Tensor],
-        x: Var,
-        ops: Var,
-    ) -> Var {
-        let gate = self.wo.forward(g, store, ops);
-        let gate = g.sigmoid(gate);
-        let xf = self.wf.forward(g, store, x);
-        let agg = g.block_diag_matmul(props, xf);
-        let gated = g.mul(gate, agg);
-        g.add(gated, xf)
-    }
-
-    /// [`DgfLayer::forward_batched`] for **equal-size** blocks: the
-    /// propagation matrices live on the tape as one stacked `B·n×n`
-    /// constant (`prop_stack`) and aggregation is a single
-    /// [`Graph::block_matmul`] node. Bit-identical to the ragged path and
-    /// to B separate forwards.
-    pub fn forward_batched_uniform(
         &self,
         g: &mut Graph,
         store: &ParamStore,
@@ -144,55 +122,16 @@ impl GatLayer {
         self.norm.forward(g, store, gated)
     }
 
-    /// Multi-query forward over a stacked `Σn_b×in` feature matrix.
-    ///
-    /// The dense projections (`wp`, `attn`, gate, LayerNorm) run once over
-    /// the whole stack — they are row-wise, so stacked rows compute the same
-    /// bits as isolated ones. Attention is inherently per-graph (`n_b×n_b`
-    /// logits), so each block's rows are sliced out, attended under its own
-    /// mask (`masks[b]`, the block's propagation matrix), and the context
-    /// rows are re-stacked with [`Graph::concat_rows`]. Every sliced value
-    /// equals its per-query counterpart bit-for-bit, so the whole layer is
-    /// bit-identical to running the B queries on separate tapes.
-    pub fn forward_batched(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        masks: &[Tensor],
-        layout: &BlockLayout,
-        x: Var,
-        ops: Var,
-    ) -> Var {
-        let h = self.wp.forward(g, store, x);
-        let ah = self.attn.forward(g, store, h);
-        let scale = 1.0 / (self.wp.out_dim() as f32).sqrt();
-        let mut ctxs = Vec::with_capacity(layout.num_blocks());
-        for (b, mask) in masks.iter().enumerate() {
-            let (off, n) = (layout.offset(b), layout.size(b));
-            let hb = g.slice_rows(h, off, n);
-            let ahb = g.slice_rows(ah, off, n);
-            let ht = g.transpose(hb);
-            let logits = g.matmul(ahb, ht);
-            let scaled = g.scale(logits, scale);
-            let e = g.leaky_relu(scaled, 0.2);
-            let attn = g.softmax_rows_masked(e, Some(mask.clone()));
-            ctxs.push(g.matmul(attn, hb));
-        }
-        let ctx = g.concat_rows(&ctxs);
-        let gate = self.wo.forward(g, store, ops);
-        let gate = g.sigmoid(gate);
-        let gated = g.mul(gate, ctx);
-        self.norm.forward(g, store, gated)
-    }
-
-    /// [`GatLayer::forward_batched`] for **equal-size** blocks: attention
+    /// Multi-query forward over B equal-size blocks stacked into a
+    /// `B·n×in` feature matrix. The dense projections (`wp`, `attn`, gate,
+    /// LayerNorm) are row-wise and run once over the whole stack; attention
     /// runs over rectangular stacks — one [`Graph::block_matmul_nt`] node
     /// for all B logit blocks, one stacked masked softmax (`prop_stack`'s
     /// value is the row-aligned mask), one [`Graph::block_matmul`] node for
-    /// all B context blocks — instead of ~8 tape nodes per block. Every
-    /// block computes the identical kernel sequence of a lone pass, so the
-    /// layer stays bit-identical to B separate forwards.
-    pub fn forward_batched_uniform(
+    /// all B context blocks. Every block computes the identical kernel
+    /// sequence of a lone pass, so the layer stays bit-identical to B
+    /// separate [`GatLayer::forward`] calls.
+    pub fn forward_batched(
         &self,
         g: &mut Graph,
         store: &ParamStore,
@@ -303,51 +242,12 @@ impl GnnStack {
         h
     }
 
-    /// Multi-query forward: propagates a stacked `Σn_b×in` feature matrix
-    /// for B queries through the stack in one pass.
-    ///
-    /// `props` holds each block's own `n_b×n_b` propagation matrix. When
-    /// every block has the same size — always true for one search space —
-    /// the props are stacked into a single `B·n×n` tape constant and each
-    /// layer runs the uniform fast path (one block-matmul node per
-    /// aggregation, one stacked attention per GAT layer). Mixed-size blocks
-    /// fall back to the general per-block path. Either way the result is
-    /// bit-identical to B separate [`GnnStack::forward`] calls.
+    /// Multi-query forward: propagates B equal-size blocks stacked into a
+    /// `B·block×in` feature matrix through the stack in one pass, with the
+    /// stacked `B·block×block` propagation constant already on the tape
+    /// (one shared `prop_stack` serves both GNN stacks of a predictor
+    /// pass). Bit-identical to B separate [`GnnStack::forward`] calls.
     pub fn forward_batched(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        props: &[Tensor],
-        layout: &BlockLayout,
-        x: Var,
-        ops: Var,
-    ) -> Var {
-        let block = layout.size(0);
-        if layout.sizes().iter().all(|&s| s == block) {
-            let prop_stack = g.constant(nasflat_tensor::batched::stack_rows(props));
-            return self.forward_batched_uniform(g, store, prop_stack, block, x, ops);
-        }
-        let mut h = x;
-        for layer in &self.layers {
-            h = match layer {
-                StackLayer::Dgf(d) => d.forward_batched(g, store, props, h, ops),
-                StackLayer::Gat(a) => a.forward_batched(g, store, props, layout, h, ops),
-                StackLayer::Both(d, a) => {
-                    let hd = d.forward_batched(g, store, props, h, ops);
-                    let ha = a.forward_batched(g, store, props, layout, h, ops);
-                    let sum = g.add(hd, ha);
-                    g.scale(sum, 0.5)
-                }
-            };
-        }
-        h
-    }
-
-    /// [`GnnStack::forward_batched`] for **equal-size** blocks with the
-    /// stacked `B·n×n` propagation constant already on the tape — the hot
-    /// path the predictor uses (one shared `prop_stack` serves both GNN
-    /// stacks of a pass). Bit-identical to B separate forwards.
-    pub fn forward_batched_uniform(
         &self,
         g: &mut Graph,
         store: &ParamStore,
@@ -359,15 +259,11 @@ impl GnnStack {
         let mut h = x;
         for layer in &self.layers {
             h = match layer {
-                StackLayer::Dgf(d) => {
-                    d.forward_batched_uniform(g, store, prop_stack, block, h, ops)
-                }
-                StackLayer::Gat(a) => {
-                    a.forward_batched_uniform(g, store, prop_stack, block, h, ops)
-                }
+                StackLayer::Dgf(d) => d.forward_batched(g, store, prop_stack, block, h, ops),
+                StackLayer::Gat(a) => a.forward_batched(g, store, prop_stack, block, h, ops),
                 StackLayer::Both(d, a) => {
-                    let hd = d.forward_batched_uniform(g, store, prop_stack, block, h, ops);
-                    let ha = a.forward_batched_uniform(g, store, prop_stack, block, h, ops);
+                    let hd = d.forward_batched(g, store, prop_stack, block, h, ops);
+                    let ha = a.forward_batched(g, store, prop_stack, block, h, ops);
                     let sum = g.add(hd, ha);
                     g.scale(sum, 0.5)
                 }

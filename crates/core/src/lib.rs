@@ -22,27 +22,22 @@
 //! Every batch-scoring path ([`LatencyPredictor::predict_batch`],
 //! [`predict_indices`], `TransferredPredictor::score_indices`/`score_batch`)
 //! fans contiguous chunks out over `nasflat-parallel` workers
-//! (`NASFLAT_THREADS`), one reusable [`BatchSession`] tape per worker.
-//! Chunks of at least [`tape_batch`] architectures (default
-//! [`DEFAULT_TAPE_BATCH`], env override `NASFLAT_TAPE_BATCH`, `0` disables)
-//! are evaluated as **multi-query block-diagonal tape passes**
-//! ([`LatencyPredictor::forward_batched`]): B queries stacked into one
-//! shared topology, sliced back to per-query scores. The invariant every
-//! layer upholds — pinned by `tests/determinism.rs` at 1/2/8 threads and by
-//! the `tests/batched_tape.rs` property suite up to B = 16 — is that session
-//! reuse, thread count, and tape batching are **bit-invisible**: scores
-//! equal a sequential fresh-tape loop down to the last ulp.
+//! (`NASFLAT_THREADS`), one reusable [`BatchSession`] tape per worker, each
+//! chunk evaluated as **multi-query tape passes** of [`TAPE_BLOCK`]
+//! architectures ([`LatencyPredictor::forward_batched_devices`]): B queries
+//! stacked into one shared topology, sliced back to per-query scores. A
+//! single query ([`LatencyPredictor::predict`]) is the same pass with one
+//! block. The invariant every layer upholds — pinned by
+//! `tests/determinism.rs` at 1/2/8 threads and by the `tests/batched_tape.rs`
+//! property suite for B = 1..16 — is that session reuse, thread count, and
+//! block size are **bit-invisible**: scores equal the dense reference
+//! [`LatencyPredictor::forward`] on a fresh tape down to the last ulp.
 //!
-//! **Training** batches the same way: gradient-step mini-batches of at least
-//! [`train_batch`] samples (default [`DEFAULT_TRAIN_BATCH`], env override
-//! `NASFLAT_TRAIN_BATCH`, `0`/`1` disable) are built as one stacked forward
-//! plus ONE backward over the whole batch ([`train_step_on`]). The training
-//! contract is two-armed: the stacked loss **value** is bit-identical to the
-//! per-arch path, and trained weights are bitwise-stable across thread
-//! counts at any fixed setting; across `NASFLAT_TRAIN_BATCH` settings,
-//! parameter gradients may differ in low-order bits (embedding-gather
-//! scatter order), so outputs are pinned **rank-equivalent** instead —
-//! `tests/determinism.rs` covers both arms.
+//! **Training** runs the same pass: every gradient step builds its whole
+//! mini-batch as one stacked forward plus ONE backward ([`train_step_on`]).
+//! The training contract has one arm: the loss **value** is bit-identical to
+//! a per-architecture reference, and trained weights are bit-identical at
+//! any thread count — `tests/determinism.rs` pins it.
 //!
 //! # Example
 //! ```no_run
@@ -84,12 +79,9 @@ pub use fewshot::{
 };
 pub use gnn::{propagation_constant, DgfLayer, GatLayer, GnnStack};
 pub use persist::{ModelIoError, PredictorMeta};
-pub use predictor::{
-    tape_batch, with_tape_batch, BatchSession, LatencyPredictor, SessionCounters,
-    DEFAULT_TAPE_BATCH,
-};
+pub use predictor::{BatchSession, LatencyPredictor, TAPE_BLOCK};
 pub use refine::{BackwardKind, DetachMode, RefineOptions, RefinedPredictor, UnrolledKind};
 pub use trainer::{
-    evaluate_spearman, fine_tune, hw_init_from_correlation, predict_indices, pretrain, train_batch,
-    train_step, train_step_on, with_train_batch, TrainContext, TrainTape, DEFAULT_TRAIN_BATCH,
+    evaluate_spearman, fine_tune, hw_init_from_correlation, predict_indices, pretrain, train_step,
+    train_step_on, TrainContext, TrainTape,
 };

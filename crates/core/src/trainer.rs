@@ -1,9 +1,6 @@
 //! Pre-training, transfer, and evaluation of the latency predictor
 //! (paper §3.4, §5.2, §6.2).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -12,70 +9,11 @@ use nasflat_encode::{EncodingKind, EncodingSuite};
 use nasflat_hw::LatencyTable;
 use nasflat_metrics::spearman_rho;
 use nasflat_space::Arch;
-use nasflat_tensor::{
-    mse_loss, mse_loss_stacked, pairwise_hinge_loss, pairwise_hinge_loss_stacked, AdamConfig,
-    Graph, Var,
-};
+use nasflat_tensor::{mse_loss_stacked, pairwise_hinge_loss_stacked, AdamConfig, Graph};
 
 use crate::config::{LossKind, PredictorConfig};
 use crate::data::{DeviceSamples, PretrainData};
 use crate::predictor::{BatchScratch, LatencyPredictor};
-
-/// Default training-batch stacking threshold: gradient-step batches of at
-/// least this many samples are built as ONE multi-query block-diagonal tape
-/// pass (and one backward) over the whole `B·n`-row stack; smaller batches
-/// take the per-architecture path. Any real mini-batch benefits from
-/// stacking (the loss couples the whole batch, so there is no block split to
-/// amortize), hence the threshold simply requires a second sample.
-pub const DEFAULT_TRAIN_BATCH: usize = 2;
-
-const TRAIN_BATCH_UNSET: usize = usize::MAX;
-static TRAIN_BATCH_OVERRIDE: AtomicUsize = AtomicUsize::new(TRAIN_BATCH_UNSET);
-
-/// The training-batch stacking threshold gradient steps use right now: the
-/// innermost [`with_train_batch`] override, else the `NASFLAT_TRAIN_BATCH`
-/// environment variable (read once per process), else
-/// [`DEFAULT_TRAIN_BATCH`]. Values `0` and `1` disable stacked gradient
-/// steps (every batch runs B per-architecture forwards on one tape — the
-/// pre-batching behaviour), mirroring `NASFLAT_TAPE_BATCH` /
-/// [`tape_batch`](crate::tape_batch) on the inference side.
-pub fn train_batch() -> usize {
-    let o = TRAIN_BATCH_OVERRIDE.load(Ordering::Relaxed);
-    if o != TRAIN_BATCH_UNSET {
-        return o;
-    }
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        // Malformed values warn on stderr instead of silently defaulting.
-        nasflat_parallel::env_usize("NASFLAT_TRAIN_BATCH", 0).unwrap_or(DEFAULT_TRAIN_BATCH)
-    })
-}
-
-/// Runs `f` with the training-batch stacking threshold pinned to `b` (0
-/// disables stacked gradient steps), restoring the previous setting
-/// afterwards — the programmatic equivalent of launching under
-/// `NASFLAT_TRAIN_BATCH=<b>`.
-///
-/// The override is **process-global** (worker threads spawned inside `f`
-/// see it, unlike a thread-local), so nesting from concurrent threads is not
-/// supported; the bench harness and tests use it from a single driver
-/// thread. Unlike the tape-batch override, the stacked and per-arch step
-/// paths are only *rank-equivalent*, not bit-identical (the one-pass
-/// backward folds parameter gradients over the whole stack in one
-/// accumulation order, where the per-arch path sums B per-forward leaf
-/// blocks) — so a racing override could change low-order bits of trained
-/// weights, never their quality. See the determinism notes on
-/// [`train_step_on`].
-pub fn with_train_batch<R>(b: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            TRAIN_BATCH_OVERRIDE.store(self.0, Ordering::SeqCst);
-        }
-    }
-    let _guard = Restore(TRAIN_BATCH_OVERRIDE.swap(b, Ordering::SeqCst));
-    f()
-}
 
 /// Shared references the trainer needs: the architecture pool and (when a
 /// supplementary encoding is configured) the encoding suite over that pool.
@@ -146,7 +84,6 @@ pub struct TrainTape {
     batch: BatchScratch,
     devices: Vec<usize>,
     supp: Vec<Vec<f32>>,
-    scores: Vec<Var>,
     targets: Vec<f32>,
 }
 
@@ -160,8 +97,7 @@ impl TrainTape {
 
 /// `true` iff some pair of targets satisfies the hinge predicate
 /// `t_i > t_j` — the exact comparison the ranking losses enumerate, so the
-/// skip decision is NaN-correct and identical across the stacked and
-/// per-arch paths.
+/// skip decision is NaN-correct.
 fn has_comparable_pair(batch: &[(usize, f32)]) -> bool {
     batch
         .iter()
@@ -187,22 +123,19 @@ pub fn train_step(
 
 /// [`train_step`] on a caller-owned [`TrainTape`].
 ///
-/// When the batch reaches the [`train_batch`] threshold, the whole batch is
-/// built as ONE multi-query block-diagonal forward over the `B·n`-row stack
-/// (the same `forward_batched_*` machinery the serving layer batches on),
-/// the loss closes over the stacked `B×1` score column, and a single
-/// `backward` sweeps the entire batch — versus B per-architecture forwards
-/// and a B-way scalar loss below the threshold.
+/// The whole batch is built as ONE multi-query forward over the `B·n`-row
+/// stack (the same stacked pass the serving layer batches on), the loss
+/// closes over the stacked `B×1` score column, and a single `backward`
+/// sweeps the entire batch. A one-sample batch is a pass with one block;
+/// under the ranking loss it never reaches the tape, having no comparable
+/// pair.
 ///
 /// # Determinism contract
-/// The stacked forward's per-row scores and hence the **loss value** are
-/// bit-identical to the per-arch path (pinned by unit tests); parameter
-/// *gradients* may differ in low-order bits only through the embedding
-/// tables' gather-backward, which folds the whole stack in one scatter order
-/// where the per-arch path sums B per-forward partials. Trained weights are
-/// therefore **rank-equivalent** (not bitwise) across `NASFLAT_TRAIN_BATCH`
-/// settings, and bitwise-stable across thread counts at any fixed setting —
-/// the determinism suite pins both arms.
+/// The stacked pass's per-row scores, and hence the **loss value**, are
+/// bit-identical to a per-architecture [`LatencyPredictor::forward`]
+/// reference (pinned by unit tests), and every step is sequential
+/// arithmetic on one tape, so trained weights are **bit-identical at any
+/// thread count** — the determinism suite pins this.
 pub fn train_step_on(
     pred: &mut LatencyPredictor,
     ctx: &TrainContext<'_>,
@@ -229,46 +162,32 @@ pub fn train_step_on(
         batch: scratch,
         devices,
         supp,
-        scores,
         targets,
     } = tape;
     g.clear();
     targets.clear();
     targets.extend(batch.iter().map(|&(_, t)| t));
-    let threshold = train_batch();
-    let loss = if threshold > 1 && batch.len() >= threshold {
-        let archs: Vec<&Arch> = batch.iter().map(|&(i, _)| &ctx.pool[i]).collect();
-        devices.clear();
-        devices.resize(batch.len(), device);
-        let supp_ref: Option<&[Vec<f32>]> = match supp_kind {
-            Some(kind) => {
-                // Gather the batch's supplement rows into retained row
-                // buffers (inner capacity survives across steps).
-                supp.resize_with(batch.len(), Vec::new);
-                supp.truncate(batch.len());
-                for (dst, &(i, _)) in supp.iter_mut().zip(batch) {
-                    dst.clear();
-                    dst.extend_from_slice(ctx.supplement_row(kind, i));
-                }
-                Some(&supp[..])
+    let archs: Vec<&Arch> = batch.iter().map(|&(i, _)| &ctx.pool[i]).collect();
+    devices.clear();
+    devices.resize(batch.len(), device);
+    let supp_ref: Option<&[Vec<f32>]> = match supp_kind {
+        Some(kind) => {
+            // Gather the batch's supplement rows into retained row buffers
+            // (inner capacity survives across steps).
+            supp.resize_with(batch.len(), Vec::new);
+            supp.truncate(batch.len());
+            for (dst, &(i, _)) in supp.iter_mut().zip(batch) {
+                dst.clear();
+                dst.extend_from_slice(ctx.supplement_row(kind, i));
             }
-            None => None,
-        };
-        let (ys, _) = pred.forward_batched_with_scratch(g, scratch, &archs, devices, supp_ref);
-        match loss_kind {
-            LossKind::PairwiseHinge => pairwise_hinge_loss_stacked(g, ys, targets, margin)?,
-            LossKind::Mse => mse_loss_stacked(g, ys, targets),
+            Some(&supp[..])
         }
-    } else {
-        scores.clear();
-        for &(idx, _) in batch {
-            let row = supp_kind.map(|kind| ctx.supplement_row(kind, idx));
-            scores.push(pred.forward(g, &ctx.pool[idx], device, row));
-        }
-        match loss_kind {
-            LossKind::PairwiseHinge => pairwise_hinge_loss(g, scores, targets, margin)?,
-            LossKind::Mse => mse_loss(g, scores, targets),
-        }
+        None => None,
+    };
+    let ys = pred.forward_batched_with_scratch(g, scratch, &archs, devices, supp_ref);
+    let loss = match loss_kind {
+        LossKind::PairwiseHinge => pairwise_hinge_loss_stacked(g, ys, targets, margin)?,
+        LossKind::Mse => mse_loss_stacked(g, ys, targets),
     };
     let value = g.value(loss).item();
     g.backward(loss);
@@ -404,12 +323,11 @@ pub fn hw_init_from_correlation(
 ///
 /// Predictions run in parallel over the `nasflat-parallel` layer (bounded by
 /// `NASFLAT_THREADS`); each worker reuses one
-/// [`BatchSession`](crate::BatchSession) tape over its contiguous chunk and —
-/// above the [`tape_batch`](crate::tape_batch) threshold — evaluates
-/// multi-query block-diagonal tape passes instead of query-by-query swaps.
-/// Session tapes are bit-identical to fresh tapes, batched passes are
-/// bit-identical to per-architecture ones, and each forward is pure, so the
-/// output is bit-identical at any thread count and tape-batch setting.
+/// [`BatchSession`](crate::BatchSession) tape over its contiguous chunk,
+/// evaluated as multi-query tape passes of
+/// [`TAPE_BLOCK`](crate::TAPE_BLOCK) architectures. Every pass row is
+/// bit-identical to the per-architecture reference and each forward is
+/// pure, so the output is bit-identical at any thread count.
 pub fn predict_indices(
     pred: &LatencyPredictor,
     ctx: &TrainContext<'_>,
@@ -449,6 +367,7 @@ mod tests {
     use nasflat_hw::DeviceRegistry;
     use nasflat_space::Space;
     use nasflat_tasks::{paper_task, probe_pool};
+    use nasflat_tensor::{mse_loss, pairwise_hinge_loss, Var};
 
     fn tiny_cfg() -> PredictorConfig {
         let mut c = PredictorConfig::quick();
@@ -526,28 +445,39 @@ mod tests {
         );
     }
 
-    /// First arm of the batched-step determinism contract: the stacked
-    /// path's loss VALUE is bit-identical to the per-arch path's on the same
-    /// weights, for both loss kinds (the batched forward's rows and the
-    /// stacked losses' folds reproduce the per-arch arithmetic exactly).
+    /// The stacked step's loss VALUE is bit-identical to a reference built
+    /// from per-architecture dense forwards and the scalar-var losses on
+    /// the same weights, for both loss kinds (the stacked pass's rows and
+    /// the stacked losses' folds reproduce the per-arch arithmetic exactly).
     #[test]
     fn stacked_step_loss_matches_per_arch_bitwise() {
         let pool = probe_pool(Space::Nb201, 20, 4);
         let ctx = TrainContext::new(&pool);
         let adam = AdamConfig::default();
         let batch: Vec<(usize, f32)> = (0..8).map(|i| (i, (i as f32 * 0.37).sin())).collect();
+        let targets: Vec<f32> = batch.iter().map(|&(_, t)| t).collect();
         for loss in [LossKind::PairwiseHinge, LossKind::Mse] {
             let mut cfg = tiny_cfg();
             cfg.loss = loss;
-            let mut a = LatencyPredictor::new(Space::Nb201, vec!["x".into()], 0, cfg.clone());
-            let mut b = LatencyPredictor::new(Space::Nb201, vec!["x".into()], 0, cfg);
-            let la = with_train_batch(0, || train_step(&mut a, &ctx, 0, &batch, &adam))
-                .expect("per-arch step should run");
-            let lb = with_train_batch(2, || train_step(&mut b, &ctx, 0, &batch, &adam))
-                .expect("stacked step should run");
+            let mut pred = LatencyPredictor::new(Space::Nb201, vec!["x".into()], 0, cfg.clone());
+            let mut g = Graph::new();
+            let scores: Vec<Var> = batch
+                .iter()
+                .map(|&(i, _)| pred.forward(&mut g, &pool[i], 0, None))
+                .collect();
+            let reference = match loss {
+                LossKind::PairwiseHinge => {
+                    pairwise_hinge_loss(&mut g, &scores, &targets, cfg.hinge_margin)
+                        .expect("batch has comparable pairs")
+                }
+                LossKind::Mse => mse_loss(&mut g, &scores, &targets),
+            };
+            let expect = g.value(reference).item();
+            let got =
+                train_step(&mut pred, &ctx, 0, &batch, &adam).expect("stacked step should run");
             assert_eq!(
-                la.to_bits(),
-                lb.to_bits(),
+                got.to_bits(),
+                expect.to_bits(),
                 "stacked vs per-arch first-step loss diverged for {loss:?}"
             );
         }

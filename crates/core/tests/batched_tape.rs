@@ -1,21 +1,20 @@
-//! Property + dispatch suite for multi-query (block-diagonal) tape
+//! Property + chunking suite for multi-query (block-diagonal) tape
 //! evaluation.
 //!
 //! Contract under test:
 //!
-//! 1. **Round trip**: stacking up to B = 16 architectures into one
+//! 1. **Round trip**: stacking B = 1..16 architectures into one
 //!    block-diagonal tape pass (`stack → forward → slice`) produces scores
-//!    bit-identical to per-architecture passes on fresh tapes — across GNN
-//!    module kinds, spaces (8-node NB201 cells, 24-node FBNet chains), and
-//!    with supplementary encodings.
-//! 2. **Threshold dispatch**: batch requests below the tape-batch threshold
-//!    take the per-architecture session path; requests at/above it run
-//!    block-diagonal passes (with a per-arch remainder), observable through
-//!    the session's pass counters.
+//!    bit-identical to the dense reference forward on fresh tapes — across
+//!    GNN module kinds, spaces (8-node NB201 cells, 24-node FBNet chains),
+//!    and with supplementary encodings.
+//! 2. **Chunking**: a run of queries is evaluated in passes of
+//!    [`TAPE_BLOCK`] architectures plus one shorter pass for the remainder,
+//!    observable through the session's pass count, with the same bits.
 
 use proptest::prelude::*;
 
-use nasflat_core::{GnnModuleKind, LatencyPredictor, PredictorConfig};
+use nasflat_core::{GnnModuleKind, LatencyPredictor, PredictorConfig, TAPE_BLOCK};
 use nasflat_encode::EncodingKind;
 use nasflat_space::{Arch, Space};
 use nasflat_tensor::Graph;
@@ -36,13 +35,24 @@ fn devices() -> Vec<String> {
     vec!["dev_a".into(), "dev_b".into(), "dev_c".into()]
 }
 
-/// Per-arch fresh-tape scores — the ground truth every batched variant must
+/// The dense reference forward on a fresh tape.
+fn reference_bits(p: &LatencyPredictor, arch: &Arch, device: usize, supp: Option<&[f32]>) -> u32 {
+    let mut g = Graph::new();
+    let y = p.forward(&mut g, arch, device, supp);
+    g.value(y).item().to_bits()
+}
+
+/// Per-arch reference scores — the ground truth every batched variant must
 /// reproduce bit-for-bit.
 fn per_arch_bits(p: &LatencyPredictor, archs: &[&Arch], device: usize) -> Vec<u32> {
     archs
         .iter()
-        .map(|a| p.predict(a, device, None).to_bits())
+        .map(|a| reference_bits(p, a, device, None))
         .collect()
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 proptest! {
@@ -62,11 +72,11 @@ proptest! {
 
         // One block-diagonal pass over all B queries…
         let mut g = Graph::new();
-        let y = p.forward_batched(&mut g, &refs, device, None);
+        let y = p.forward_batched_devices(&mut g, &refs, &vec![device; b], None);
         prop_assert_eq!(g.value(y).shape(), (b, 1));
         let batched: Vec<u32> = (0..b).map(|i| g.value(y).get(i, 0).to_bits()).collect();
 
-        // …must slice back to exactly the per-arch fresh-tape scores.
+        // …must slice back to exactly the per-arch reference scores.
         prop_assert_eq!(batched, per_arch_bits(&p, &refs, device));
     }
 }
@@ -83,10 +93,14 @@ fn round_trip_holds_for_every_gnn_module_kind() {
         let archs: Vec<Arch> = (0..9u64).map(|i| Arch::nb201_from_index(i * 641)).collect();
         let refs: Vec<&Arch> = archs.iter().collect();
         let mut session = p.session();
-        let batched = session.predict_batched_tape(&refs, 1, None);
-        let expect: Vec<u32> = per_arch_bits(&p, &refs, 1);
-        let got: Vec<u32> = batched.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, expect, "{kind:?} diverged");
+        for b in [1, refs.len()] {
+            let batched = session.predict_batched_tape_devices(&refs[..b], &vec![1; b], None);
+            assert_eq!(
+                bits(&batched),
+                per_arch_bits(&p, &refs[..b], 1),
+                "{kind:?} diverged at B={b}"
+            );
+        }
     }
 }
 
@@ -100,9 +114,10 @@ fn round_trip_holds_on_fbnet_and_without_ophw() {
         .collect();
     let refs: Vec<&Arch> = archs.iter().collect();
     let mut session = p.session();
-    let batched = session.predict_batched_tape(&refs, 2, None);
-    let got: Vec<u32> = batched.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(got, per_arch_bits(&p, &refs, 2));
+    for b in [1, refs.len()] {
+        let batched = session.predict_batched_tape_devices(&refs[..b], &vec![2; b], None);
+        assert_eq!(bits(&batched), per_arch_bits(&p, &refs[..b], 2), "B={b}");
+    }
 }
 
 #[test]
@@ -118,21 +133,23 @@ fn round_trip_holds_with_supplementary_encodings() {
                 .collect()
         })
         .collect();
-    let mut session = p.session();
-    let batched = session.predict_batched_tape(&refs, 0, Some(&supp));
     let expect: Vec<u32> = refs
         .iter()
         .zip(&supp)
-        .map(|(a, s)| p.predict(a, 0, Some(s)).to_bits())
+        .map(|(a, s)| reference_bits(&p, a, 0, Some(s)))
         .collect();
-    let got: Vec<u32> = batched.iter().map(|v| v.to_bits()).collect();
-    assert_eq!(got, expect);
+    let mut session = p.session();
+    for b in [1, refs.len()] {
+        let batched =
+            session.predict_batched_tape_devices(&refs[..b], &vec![0; b], Some(&supp[..b]));
+        assert_eq!(bits(&batched), expect[..b], "B={b}");
+    }
 }
 
 #[test]
 fn batched_passes_reuse_the_session_arena_bitwise() {
-    // Interleave batched and per-arch queries on one tape: clear() recycling
-    // must never leak state between the two modes.
+    // Interleave multi-block and one-block passes on one tape: clear()
+    // recycling must never leak state between passes of different sizes.
     let p = LatencyPredictor::new(Space::Nb201, devices(), 0, tiny_cfg());
     let archs: Vec<Arch> = (0..12u64)
         .map(|i| Arch::nb201_from_index(i * 119))
@@ -141,59 +158,54 @@ fn batched_passes_reuse_the_session_arena_bitwise() {
     let expect = per_arch_bits(&p, &refs, 0);
     let mut session = p.session();
     for round in 0..3 {
-        let batched = session.predict_batched_tape(&refs, 0, None);
-        let got: Vec<u32> = batched.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, expect, "round {round} diverged after arena reuse");
+        let batched = session.predict_batched_tape_devices(&refs, &[0; 12], None);
+        assert_eq!(
+            bits(&batched),
+            expect,
+            "round {round} diverged after arena reuse"
+        );
         let single = session.predict(&archs[round], 0, None);
         assert_eq!(single.to_bits(), expect[round]);
     }
 }
 
 #[test]
-fn small_batches_fall_back_to_the_per_arch_path() {
+fn small_batches_run_as_one_short_pass() {
+    // Fewer queries than one block: a single pass over exactly those
+    // queries, whatever their devices, with the reference bits.
     let p = LatencyPredictor::new(Space::Nb201, devices(), 0, tiny_cfg());
-    let archs: Vec<Arch> = (0..11u64).map(|i| Arch::nb201_from_index(i * 57)).collect();
+    let archs: Vec<Arch> = (0..3u64).map(|i| Arch::nb201_from_index(i * 57)).collect();
     let refs: Vec<&Arch> = archs.iter().collect();
-
-    // Below the threshold: every query takes the per-architecture path.
+    let devs = [2, 0, 1];
     let mut session = p.session();
-    session.set_tape_batch(4);
-    let small = session.predict_many(&refs[..3], 0, None);
-    assert_eq!(session.batched_passes(), 0, "small batch must not stack");
-    assert_eq!(session.per_arch_queries(), 3);
-
-    // At/above the threshold: full blocks stack, the sub-threshold
-    // remainder (11 = 2*4 + 3) falls back per-architecture.
-    let many = session.predict_many(&refs, 0, None);
-    assert_eq!(session.batched_passes(), 2);
-    assert_eq!(session.per_arch_queries(), 3 + 3);
-
-    // Disabled (0): everything per-architecture.
-    let mut off = p.session();
-    off.set_tape_batch(0);
-    let plain = off.predict_many(&refs, 0, None);
-    assert_eq!(off.batched_passes(), 0);
-    assert_eq!(off.per_arch_queries(), 11);
-
-    // All dispatch modes agree bitwise with the fresh-tape ground truth.
-    let expect = per_arch_bits(&p, &refs, 0);
-    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-    assert_eq!(bits(&small), expect[..3]);
-    assert_eq!(bits(&many), expect);
-    assert_eq!(bits(&plain), expect);
+    for b in 1..=refs.len() {
+        let before = session.passes();
+        let got = session.predict_many_devices(&refs[..b], &devs[..b], None);
+        assert_eq!(session.passes() - before, 1, "B={b} must be one pass");
+        let expect: Vec<u32> = refs[..b]
+            .iter()
+            .zip(&devs)
+            .map(|(a, &d)| reference_bits(&p, a, d, None))
+            .collect();
+        assert_eq!(bits(&got), expect, "B={b}");
+    }
 }
 
 #[test]
-fn with_tape_batch_pins_the_process_default() {
+fn predict_many_runs_full_blocks_then_the_remainder() {
     let p = LatencyPredictor::new(Space::Nb201, devices(), 0, tiny_cfg());
-    nasflat_core::with_tape_batch(5, || {
-        assert_eq!(nasflat_core::tape_batch(), 5);
-        let session = p.session();
-        // sessions capture the override at creation
-        let archs: Vec<Arch> = (0..5u64).map(Arch::nb201_from_index).collect();
-        let refs: Vec<&Arch> = archs.iter().collect();
-        let mut session = session;
-        session.predict_many(&refs, 0, None);
-        assert_eq!(session.batched_passes(), 1);
-    });
+    let archs: Vec<Arch> = (0..11u64).map(|i| Arch::nb201_from_index(i * 57)).collect();
+    let refs: Vec<&Arch> = archs.iter().collect();
+    let devs: Vec<usize> = (0..11).map(|i| i % 3).collect();
+    let mut session = p.session();
+    let got = session.predict_many_devices(&refs, &devs, None);
+    // Full blocks, then one pass for the remainder: at TAPE_BLOCK = 8, one
+    // 8-block pass plus one 3-block pass.
+    assert_eq!(session.passes(), refs.len().div_ceil(TAPE_BLOCK));
+    let expect: Vec<u32> = refs
+        .iter()
+        .zip(&devs)
+        .map(|(a, &d)| reference_bits(&p, a, d, None))
+        .collect();
+    assert_eq!(bits(&got), expect);
 }

@@ -1,19 +1,15 @@
 //! Determinism suite for the parallel execution layer.
 //!
 //! The contract: every parallelized pipeline stage — ensemble training,
-//! batch prediction (including the multi-query block-diagonal tape path),
+//! batch prediction (multi-query tape passes of any block size), training,
 //! multi-target transfer, full trial loops — produces **bit-identical**
-//! outputs at `NASFLAT_THREADS=1`, `2`, and `8`. The tests pin the thread
-//! count in-process via [`nasflat_parallel::with_threads`], the
-//! programmatic equivalent of launching under each `NASFLAT_THREADS` value
-//! (the env var is read once per process, so one process can't re-set it
-//! per case), and the tape-batch size via
-//! [`nasflat_core::with_tape_batch`].
-//!
-//! Training's stacked gradient steps carry a two-armed contract (see
-//! [`nasflat_core::train_step_on`]): bit-identical across thread counts at
-//! any fixed `NASFLAT_TRAIN_BATCH` setting, rank-equivalent across
-//! settings — pinned via [`nasflat_core::with_train_batch`].
+//! outputs at `NASFLAT_THREADS=1`, `2`, and `8`, and every score equals the
+//! dense reference [`LatencyPredictor::forward`] on a fresh tape. The tests
+//! pin the thread count in-process via [`nasflat_parallel::with_threads`],
+//! the programmatic equivalent of launching under each `NASFLAT_THREADS`
+//! value (the env var is read once per process, so one process can't re-set
+//! it per case); it is thread-local, so tests running concurrently in one
+//! binary cannot see each other's setting.
 
 use nasflat_core::{
     build_ensemble, ensemble_transfer_scores, run_trials, FewShotConfig, LatencyPredictor,
@@ -24,6 +20,7 @@ use nasflat_parallel::with_threads;
 use nasflat_sample::Sampler;
 use nasflat_space::{Arch, Space};
 use nasflat_tasks::{paper_task, probe_pool};
+use nasflat_tensor::Graph;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -47,6 +44,18 @@ fn tiny() -> FewShotConfig {
 /// Bitwise view of an `f32` vector (NaN-safe, rounding-exact equality).
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Ground truth: the dense reference forward, one fresh tape per
+/// architecture.
+fn reference_bits(pred: &LatencyPredictor, pool: &[Arch], device: usize) -> Vec<u32> {
+    pool.iter()
+        .map(|a| {
+            let mut g = Graph::new();
+            let y = pred.forward(&mut g, a, device, None);
+            g.value(y).item().to_bits()
+        })
+        .collect()
 }
 
 #[test]
@@ -75,12 +84,7 @@ fn batch_session_is_bit_identical_to_per_arch_tapes_across_thread_counts() {
         0,
         tiny().predictor,
     );
-    // Ground truth: one fresh tape per architecture, sequential — the PR-2
-    // per-arch path.
-    let per_arch: Vec<u32> = pool
-        .iter()
-        .map(|a| pred.predict(a, 0, None).to_bits())
-        .collect();
+    let per_arch = reference_bits(&pred, &pool, 0);
 
     // A single session sweeping the whole pool on one reused tape.
     let mut session = pred.session();
@@ -100,11 +104,10 @@ fn batch_session_is_bit_identical_to_per_arch_tapes_across_thread_counts() {
 
 #[test]
 fn multi_query_tape_is_bit_identical_across_thread_counts_and_batch_sizes() {
-    // The PR-4 batched-tape contract: block-diagonal multi-query passes are
-    // bit-identical to the per-arch session path — at 1/2/8 threads and at
-    // any tape-batch setting (0 = disabled/PR-3 path, 8 = default blocks,
-    // 16 = double blocks). Thread count changes worker chunk boundaries and
-    // therefore which queries share a block; none of it may move a bit.
+    // Multi-query passes are bit-identical to the reference forward at any
+    // block size (one session sweeping the pool in passes of B) and at
+    // 1/2/8 threads (thread count changes worker chunk boundaries and
+    // therefore which queries share a pass). None of it may move a bit.
     let pool = probe_pool(Space::Nb201, 72, 9);
     let pred = LatencyPredictor::new(
         Space::Nb201,
@@ -112,20 +115,20 @@ fn multi_query_tape_is_bit_identical_across_thread_counts_and_batch_sizes() {
         0,
         tiny().predictor,
     );
-    let per_arch: Vec<u32> = pool
-        .iter()
-        .map(|a| pred.predict(a, 1, None).to_bits())
-        .collect();
-    for &tape in &[0usize, 8, 16] {
-        for &t in &THREAD_COUNTS {
-            let got = nasflat_core::with_tape_batch(tape, || {
-                with_threads(t, || bits(&pred.predict_batch(&pool, 1, None)))
-            });
-            assert_eq!(
-                per_arch, got,
-                "batched tape diverged at {t} threads, tape_batch={tape}"
-            );
-        }
+    let per_arch = reference_bits(&pred, &pool, 1);
+    let refs: Vec<&Arch> = pool.iter().collect();
+    for block in [1usize, 3, 8, 16] {
+        let mut session = pred.session();
+        let got: Vec<f32> = refs
+            .chunks(block)
+            .flat_map(|c| session.predict_batched_tape_devices(c, &vec![1; c.len()], None))
+            .collect();
+        assert_eq!(per_arch, bits(&got), "passes of {block} diverged");
+        assert_eq!(session.passes(), pool.len().div_ceil(block));
+    }
+    for &t in &THREAD_COUNTS {
+        let got = with_threads(t, || bits(&pred.predict_batch(&pool, 1, None)));
+        assert_eq!(per_arch, got, "batched tape diverged at {t} threads");
     }
 }
 
@@ -192,57 +195,30 @@ fn transfer_all_and_trials_are_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn training_is_thread_stable_and_rank_equivalent_across_train_batch() {
-    // The batched-gradient-step contract (PR 8), both arms:
-    //  1. at any fixed `NASFLAT_TRAIN_BATCH` setting, the full
-    //     pretrain -> transfer -> predict pipeline is **bit-identical** at
-    //     1/2/8 threads (each predictor trains sequentially; prediction is
-    //     bit-invisible to threading);
-    //  2. across settings (0 = per-arch steps, 8 = stacked at the quick
-    //     config's batch sizes, 16 = threshold above them), trained weights
-    //     may differ in low-order bits only (embedding gather-backward
-    //     scatter grouping), so predictions are pinned **rank-equivalent**
-    //     rather than bitwise.
+fn training_is_bit_identical_across_thread_counts() {
+    // Every gradient step is one stacked pass plus one backward, so the full
+    // pretrain -> transfer -> predict pipeline is **bit-identical** at 1/2/8
+    // threads (each predictor trains sequentially; prediction is
+    // bit-invisible to threading).
     let task = paper_task("ND").unwrap();
     let pool = probe_pool(Space::Nb201, 60, 5);
     let table = LatencyTable::build(DeviceRegistry::nb201().devices(), &pool);
     let cfg = tiny();
     let indices: Vec<usize> = (0..40).collect();
-    let mut per_setting: Vec<Vec<f32>> = Vec::new();
-    for &tb in &[0usize, 8, 16] {
-        let runs: Vec<Vec<f32>> = THREAD_COUNTS
-            .iter()
-            .map(|&t| {
-                nasflat_core::with_train_batch(tb, || {
-                    with_threads(t, || {
-                        let mut pre =
-                            PretrainedTask::build(&task, &pool, &table, None, cfg.clone());
-                        pre.transfer_predict("raspi4", &Sampler::Random, 5, &indices)
-                            .unwrap()
-                    })
-                })
+    let runs: Vec<Vec<u32>> = THREAD_COUNTS
+        .iter()
+        .map(|&t| {
+            with_threads(t, || {
+                let mut pre = PretrainedTask::build(&task, &pool, &table, None, cfg.clone());
+                bits(
+                    &pre.transfer_predict("raspi4", &Sampler::Random, 5, &indices)
+                        .unwrap(),
+                )
             })
-            .collect();
-        assert_eq!(
-            bits(&runs[0]),
-            bits(&runs[1]),
-            "train_batch={tb}: 1 vs 2 threads diverged"
-        );
-        assert_eq!(
-            bits(&runs[0]),
-            bits(&runs[2]),
-            "train_batch={tb}: 1 vs 8 threads diverged"
-        );
-        per_setting.push(runs[0].clone());
-    }
-    for (i, other) in per_setting.iter().enumerate().skip(1) {
-        let rho = nasflat_metrics::spearman_rho(&per_setting[0], other)
-            .expect("rank correlation should be defined");
-        assert!(
-            rho > 0.99,
-            "train_batch setting {i} broke rank equivalence: rho={rho}"
-        );
-    }
+        })
+        .collect();
+    assert_eq!(runs[0], runs[1], "1 vs 2 threads diverged");
+    assert_eq!(runs[0], runs[2], "1 vs 8 threads diverged");
 }
 
 #[test]

@@ -23,7 +23,7 @@ use crate::oracle::AccuracyOracle;
 /// blanket impl, so simple estimators keep working unchanged; estimators
 /// with a cheaper batched path (e.g. NASFLAT scoring over `BatchSession`
 /// tapes, which stacks populations into multi-query block-diagonal tape
-/// passes above the `NASFLAT_TAPE_BATCH` threshold) provide it through
+/// passes) provide it through
 /// [`BatchedLatency`] or a manual impl.
 pub trait LatencyEstimator: Sync {
     /// Latency estimate (ms or calibrated score) of one architecture.

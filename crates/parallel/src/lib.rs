@@ -71,8 +71,8 @@ thread_local! {
 /// Reads an unsigned-integer environment variable, **warning on malformed
 /// values instead of silently defaulting**.
 ///
-/// Every NASFLAT tuning knob (`NASFLAT_THREADS`, `NASFLAT_TAPE_BATCH`,
-/// `NASFLAT_SERVE_BATCH`) parses through this helper so a typo like
+/// Every NASFLAT tuning knob (`NASFLAT_THREADS`, `NASFLAT_SERVE_BATCH`)
+/// parses through this helper so a typo like
 /// `NASFLAT_THREADS=fourteen` or an out-of-range `NASFLAT_THREADS=0` is
 /// surfaced on stderr exactly where the old code paths dropped it on the
 /// floor. Returns:

@@ -22,7 +22,6 @@ use std::sync::mpsc::{sync_channel, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use nasflat_core::SessionCounters;
 use nasflat_space::Arch;
 
 use crate::bundle::ModelBundle;
@@ -64,15 +63,15 @@ impl ServeQuery {
 }
 
 /// What a drain actually did — the serving telemetry the smoke tests and
-/// the bench harness assert on. Pass counts come straight from the worker
-/// sessions' [`SessionCounters`], so the uniform/ragged split is exact.
+/// the bench harness assert on. The pass count comes straight from the
+/// worker sessions' [`BatchSession::passes`](nasflat_core::BatchSession::passes).
 /// Every numeric field is `u64` so the struct serializes uniformly into
 /// wire snapshots and text expositions regardless of platform `usize`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServeMetrics {
     /// Queries drained (evaluated **or** retired as expired).
     pub queries: u64,
-    /// Coalesced groups evaluated (tape passes + singletons).
+    /// Coalesced groups evaluated (one tape pass per bundle member each).
     pub groups: u64,
     /// Largest coalesced group.
     pub max_group: u64,
@@ -83,9 +82,8 @@ pub struct ServeMetrics {
     /// Deadline queries already overdue at dequeue — answered
     /// [`ServeError::DeadlineExceeded`] without a tape pass.
     pub deadline_expired: u64,
-    /// Per-member session counters summed over workers: multi-query passes
-    /// (uniform fast path vs ragged fallback) and per-query evaluations.
-    pub sessions: SessionCounters,
+    /// Tape passes run by the member sessions, summed over workers.
+    pub tape_passes: u64,
 }
 
 /// The dynamic micro-batching server over one loaded [`ModelBundle`].
@@ -320,11 +318,9 @@ impl<'m> DynamicBatcher<'m> {
                         scored.push((i, Ok(score)));
                     }
                 }
-                for s in &sessions {
-                    metrics.sessions = metrics.sessions.merge(s.counters());
-                }
+                metrics.tape_passes = sessions.iter().map(|s| s.passes() as u64).sum();
                 if let Some(t) = telemetry {
-                    t.add_sessions(&metrics.sessions);
+                    t.add_tape_passes(metrics.tape_passes);
                 }
                 (scored, metrics)
             },
@@ -378,7 +374,7 @@ impl<'m> DynamicBatcher<'m> {
             metrics.deadline_met += m.deadline_met;
             metrics.deadline_missed += m.deadline_missed;
             metrics.deadline_expired += m.deadline_expired;
-            metrics.sessions = metrics.sessions.merge(m.sessions);
+            metrics.tape_passes += m.tape_passes;
             for (i, s) in scored {
                 results[i] = Some(s);
                 delivered += 1;
@@ -456,14 +452,8 @@ mod tests {
         assert!(metrics.groups >= 64u64.div_ceil(8));
         assert!(metrics.max_group <= 8);
         // For a single-member bundle, every coalesced group is exactly one
-        // session evaluation: a multi-query tape pass (2+ queries) or a
-        // per-arch query (singleton).
-        assert_eq!(
-            (metrics.sessions.batched_passes() + metrics.sessions.per_arch_queries) as u64,
-            metrics.groups
-        );
-        // NB201 blocks are uniform, so the ragged fallback never fires.
-        assert_eq!(metrics.sessions.ragged_passes, 0);
+        // tape pass, singletons included.
+        assert_eq!(metrics.tape_passes, metrics.groups);
     }
 
     #[test]
@@ -489,11 +479,10 @@ mod tests {
         assert_eq!(telemetry.eval().count, metrics.groups);
         assert_eq!(telemetry.group_sizes().count, metrics.groups);
         assert_eq!(telemetry.group_sizes().sum, metrics.queries);
-        let (uniform, ragged, per_arch) = telemetry.session_totals();
         assert_eq!(
-            [uniform, ragged, per_arch],
-            metrics.sessions.export_u64(),
-            "session counters aggregate into telemetry exactly"
+            telemetry.tape_passes(),
+            metrics.tape_passes,
+            "session pass counts aggregate into telemetry exactly"
         );
     }
 

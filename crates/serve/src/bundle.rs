@@ -257,9 +257,9 @@ impl ModelBundle {
     }
 
     /// Scores a coalesced batch of mixed-device queries on the given member
-    /// sessions: each member evaluates the whole batch (one multi-query
-    /// block-diagonal pass for two or more queries, a per-query session
-    /// pass for a singleton), and the per-query member scores are averaged
+    /// sessions: each member evaluates the whole batch in one multi-query
+    /// tape pass (a singleton is a one-block pass), and the per-query
+    /// member scores are averaged
     /// in member order — bitwise the same aggregate as
     /// [`ModelBundle::predict_one`] per query.
     ///
@@ -289,15 +289,7 @@ impl ModelBundle {
                 std::ptr::eq(session.predictor(), member),
                 "session belongs to a different predictor"
             );
-            let scores = if archs.len() >= 2 {
-                session.predict_batched_tape_devices(archs, devices, supp.as_deref())
-            } else {
-                vec![session.predict(
-                    archs[0],
-                    devices[0],
-                    supp.as_ref().map(|rows| rows[0].as_slice()),
-                )]
-            };
+            let scores = session.predict_batched_tape_devices(archs, devices, supp.as_deref());
             for (a, s) in acc.iter_mut().zip(&scores) {
                 *a += s;
             }
@@ -720,7 +712,7 @@ mod tests {
                     "query {i}"
                 );
             }
-            // Singleton batches take the per-query session path and agree too.
+            // Singleton batches (one-block passes) agree too.
             let one = bundle.score_batch_in(&mut sessions, &refs[2..3], &devices[2..3]);
             assert_eq!(
                 one[0].to_bits(),

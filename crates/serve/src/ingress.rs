@@ -59,7 +59,6 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use nasflat_core::SessionCounters;
 use nasflat_parallel::WorkerSet;
 use nasflat_space::Arch;
 
@@ -613,15 +612,17 @@ fn reader_loop(
             device: req.device,
             reply: reply_tx.clone(),
         };
+        // Inflight gauge: admitted and unanswered; the writer decrements
+        // when the counted reply drains. Raised before the push, since a
+        // worker may pop, answer and retire the job before `try_push`
+        // returns — a late increment would outlive its clamped decrement.
+        shared.telemetry.inflight().inc();
         match queue.try_push(job, deadline_ms) {
-            Ok(()) => {
-                // Inflight gauge: admitted and unanswered; the writer
-                // decrements when the counted reply drains.
-                shared.telemetry.inflight().inc();
-            }
+            Ok(()) => {}
             Err(PushError::Full(_)) => {
                 // The queue is the backpressure boundary: reject now with a
                 // retry hint instead of buffering anywhere.
+                shared.telemetry.inflight().dec();
                 slots.release();
                 shared.metrics.busy.fetch_add(1, Ordering::Relaxed);
                 let _ = reply_tx.send(fail(
@@ -632,6 +633,7 @@ fn reader_loop(
                 ));
             }
             Err(PushError::Closed(_)) => {
+                shared.telemetry.inflight().dec();
                 slots.release();
                 let _ = reply_tx.send(fail(id, Err(ServeError::Shutdown)));
                 break;
@@ -793,13 +795,7 @@ fn scheduler_loop(queue: &DeadlineQueue<Job>, shared: &Ingress) {
                 .observe_assembly(eval_start.duration_since(assembly_start).as_micros() as u64);
             telemetry.observe_eval(finished.duration_since(eval_start).as_micros() as u64);
             telemetry.observe_group_size(members.len() as u64);
-            if telemetry.is_enabled() {
-                let mut delta = SessionCounters::default();
-                for s in &sessions {
-                    delta = delta.merge(s.counters());
-                }
-                telemetry.add_sessions(&delta);
-            }
+            telemetry.add_tape_passes(sessions.iter().map(|s| s.passes() as u64).sum());
             shared.metrics.groups.fetch_add(1, Ordering::Relaxed);
             shared
                 .metrics

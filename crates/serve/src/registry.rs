@@ -500,7 +500,7 @@ impl PredictorRegistry {
             metrics.deadline_met += m.deadline_met;
             metrics.deadline_missed += m.deadline_missed;
             metrics.deadline_expired += m.deadline_expired;
-            metrics.sessions = metrics.sessions.merge(m.sessions);
+            metrics.tape_passes += m.tape_passes;
             for (&i, s) in indices.iter().zip(slots) {
                 results[i] = Some(s.map(|score| ServeResponse::new(score, model_id)));
             }

@@ -15,8 +15,8 @@
 //!   here).
 //! - [`Telemetry`]: the per-server bundle of every per-stage histogram
 //!   (queue wait, batch assembly, tape evaluation, response write),
-//!   the batch/group size histograms, the uniform-vs-ragged pass counters
-//!   aggregated from [`SessionCounters`], and the trace ring.
+//!   the batch/group size histograms, the tape-pass counter aggregated
+//!   from the worker sessions, and the trace ring.
 //! - [`RequestTrace`]: one admitted request's lifecycle timestamps
 //!   (admission → dequeue → evaluation → reply, µs from the server's
 //!   epoch) plus its deadline verdict, kept in a bounded ring
@@ -38,8 +38,6 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-use nasflat_core::SessionCounters;
 
 /// Number of histogram buckets: upper bounds `2^0 .. 2^26` (≈ 67 s in
 /// microseconds) plus a final `+Inf` overflow bucket.
@@ -250,9 +248,8 @@ pub struct Telemetry {
     batch_size: Histogram,
     /// Queries per same-model tape group.
     group_size: Histogram,
-    uniform_passes: AtomicU64,
-    ragged_passes: AtomicU64,
-    per_arch_queries: AtomicU64,
+    /// Multi-query tape passes run by the worker sessions.
+    tape_passes: AtomicU64,
     inflight: Gauge,
     trace_capacity: usize,
     traces: Mutex<VecDeque<RequestTrace>>,
@@ -272,9 +269,7 @@ impl Telemetry {
             write_us: Histogram::new(),
             batch_size: Histogram::new(),
             group_size: Histogram::new(),
-            uniform_passes: AtomicU64::new(0),
-            ragged_passes: AtomicU64::new(0),
-            per_arch_queries: AtomicU64::new(0),
+            tape_passes: AtomicU64::new(0),
             inflight: Gauge::new(),
             trace_capacity,
             traces: Mutex::new(VecDeque::new()),
@@ -352,16 +347,11 @@ impl Telemetry {
         }
     }
 
-    /// Aggregates a worker's [`SessionCounters`] delta into the
-    /// uniform/ragged/per-arch pass counters.
-    pub fn add_sessions(&self, c: &SessionCounters) {
-        if !self.enabled {
-            return;
+    /// Adds `n` tape passes run by the worker sessions.
+    pub fn add_tape_passes(&self, n: u64) {
+        if self.enabled {
+            self.tape_passes.fetch_add(n, Ordering::Relaxed);
         }
-        let [uniform, ragged, per_arch] = c.export_u64();
-        self.uniform_passes.fetch_add(uniform, Ordering::Relaxed);
-        self.ragged_passes.fetch_add(ragged, Ordering::Relaxed);
-        self.per_arch_queries.fetch_add(per_arch, Ordering::Relaxed);
     }
 
     /// The inflight-slot gauge (admitted, unanswered requests).
@@ -421,17 +411,13 @@ impl Telemetry {
         self.group_size.snapshot()
     }
 
-    /// The `(uniform, ragged, per_arch)` pass counters.
-    pub fn session_totals(&self) -> (u64, u64, u64) {
-        (
-            self.uniform_passes.load(Ordering::Relaxed),
-            self.ragged_passes.load(Ordering::Relaxed),
-            self.per_arch_queries.load(Ordering::Relaxed),
-        )
+    /// The tape-pass counter.
+    pub fn tape_passes(&self) -> u64 {
+        self.tape_passes.load(Ordering::Relaxed)
     }
 
     /// Renders this bundle's families (the per-stage and size histograms,
-    /// the pass counters, the inflight gauge) into `out` as Prometheus
+    /// the pass counter, the inflight gauge) into `out` as Prometheus
     /// text exposition. The ingress wraps this with its ledger, the
     /// registry counters, and the live queue-depth gauge to form the full
     /// `METRICS` page.
@@ -443,10 +429,7 @@ impl Telemetry {
         self.write_us.render_into(out, "nasflat_response_write_us");
         self.batch_size.render_into(out, "nasflat_batch_size");
         self.group_size.render_into(out, "nasflat_group_size");
-        let (uniform, ragged, per_arch) = self.session_totals();
-        render_counter(out, "nasflat_uniform_passes_total", uniform);
-        render_counter(out, "nasflat_ragged_passes_total", ragged);
-        render_counter(out, "nasflat_per_arch_queries_total", per_arch);
+        render_counter(out, "nasflat_tape_passes_total", self.tape_passes());
         render_gauge(out, "nasflat_inflight", self.inflight.get());
     }
 }
@@ -536,11 +519,7 @@ mod tests {
         t.observe_queue_wait(5);
         t.observe_eval(5);
         t.observe_batch_size(3);
-        t.add_sessions(&SessionCounters {
-            uniform_passes: 4,
-            ragged_passes: 2,
-            per_arch_queries: 1,
-        });
+        t.add_tape_passes(4);
         t.push_trace(RequestTrace {
             request_id: 1,
             model: "m".into(),
@@ -552,7 +531,7 @@ mod tests {
         });
         assert_eq!(t.queue_wait().count, 0);
         assert_eq!(t.eval().count, 0);
-        assert_eq!(t.session_totals(), (0, 0, 0));
+        assert_eq!(t.tape_passes(), 0);
         assert!(t.traces().is_empty());
         assert!(!t.is_enabled());
     }

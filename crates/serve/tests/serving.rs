@@ -78,10 +78,11 @@ fn reloaded_bundle_serves_256_mixed_device_queries_bitwise_at_1_2_8_workers() {
             );
             assert_eq!(metrics.queries, 256);
             assert!(metrics.max_group <= batch.max(1) as u64);
+            // One tape pass per coalesced group; per-query serving runs
+            // one pass per query.
+            assert_eq!(metrics.tape_passes, metrics.groups);
             if batch <= 1 {
-                // Per-query serving: no multi-query passes at all.
-                assert_eq!(metrics.sessions.batched_passes(), 0);
-                assert_eq!(metrics.sessions.per_arch_queries, 256);
+                assert_eq!(metrics.tape_passes, 256);
             }
         }
     }
@@ -158,7 +159,5 @@ fn fbnet_bundle_serves_mixed_devices_bitwise() {
         .expect("validated stream");
     let got: Vec<u32> = scores.iter().map(|v| v.to_bits()).collect();
     assert_eq!(got, expect);
-    // FBNet chains share one node count, so the serving passes stay on the
-    // uniform fast path; the ragged-fallback counter must say so exactly.
-    assert_eq!(metrics.sessions.ragged_passes, 0);
+    assert_eq!(metrics.tape_passes, metrics.groups);
 }

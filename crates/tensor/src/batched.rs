@@ -1,127 +1,23 @@
-//! Multi-query (block-diagonal) tape construction helpers.
+//! Multi-query stacking helper.
 //!
 //! A batched forward pass stacks B independent queries' node features
 //! vertically into one tall matrix and propagates them through **one** shared
-//! tape. Per-query structure survives the stacking because every structured
-//! operand becomes *block-diagonal*: query `b`'s propagation matrix occupies
-//! rows/columns `[offset(b), offset(b) + size(b))` and every entry outside
-//! the diagonal blocks is exactly `0.0`.
-//!
-//! That exact zero is what makes the transformation **bit-identical** to B
-//! separate passes: the matmul kernels ([`crate::kernels::matmul`]) skip
-//! contributions whose left-hand factor is exactly `0.0` and accumulate each
-//! output element in increasing inner-product order, so a block-diagonal
-//! row's accumulation visits exactly the same terms, in the same order, as
-//! the lone per-query row would — no rounding difference can creep in. All
-//! remaining dense ops (linear layers, activations, LayerNorm, softmax) are
-//! row-wise, so stacked rows compute the same bits as isolated ones.
-//!
-//! The pieces:
-//!
-//! - [`BlockLayout`]: row offsets/sizes of the B blocks (blocks may differ
-//!   in size — FBNet's 24-node chains can share a layout with 8-node NB201
-//!   cells at the tensor level);
-//! - [`block_diag`]: assembles the block-diagonal structured operand;
-//! - [`stack_rows`]: stacks per-query leaf matrices vertically;
-//! - [`split_rows`]: the inverse slicing step that recovers per-query rows.
-//!
-//! Graph-level companions live on [`Graph`](crate::Graph):
-//! [`Graph::concat_rows`](crate::Graph::concat_rows) stacks tape nodes and
+//! tape. The block graph ops on [`Graph`](crate::Graph) keep per-query
+//! structure intact inside that stack:
+//! [`Graph::block_matmul`](crate::Graph::block_matmul) and
+//! [`Graph::block_matmul_nt`](crate::Graph::block_matmul_nt) multiply
+//! equal-size stacked blocks in one node, and
 //! [`Graph::block_mean_rows`](crate::Graph::block_mean_rows) reduces each
-//! block to its row mean with the exact accumulation order of a per-block
-//! [`Graph::mean_rows`](crate::Graph::mean_rows).
+//! block to its row mean. Each runs the exact kernel call (and so the exact
+//! accumulation order) the per-query op would on that block alone, so a
+//! stacked pass is **bit-identical** to B separate passes. All remaining
+//! dense ops (linear layers, activations, LayerNorm, softmax) are row-wise,
+//! so stacked rows compute the same bits as isolated ones.
+//!
+//! [`stack_rows`] builds the stacked operands those ops are checked with
+//! against per-block passes on fresh tapes.
 
 use crate::tensor::Tensor;
-
-/// Row partitioning of a stacked (multi-query) matrix into B blocks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BlockLayout {
-    offsets: Vec<usize>,
-    sizes: Vec<usize>,
-}
-
-impl BlockLayout {
-    /// Layout for blocks of the given row counts, in order.
-    ///
-    /// # Panics
-    /// Panics if `sizes` is empty or contains a zero-row block.
-    pub fn new(sizes: &[usize]) -> Self {
-        assert!(!sizes.is_empty(), "layout needs at least one block");
-        let mut offsets = Vec::with_capacity(sizes.len());
-        let mut off = 0usize;
-        for &s in sizes {
-            assert!(s > 0, "zero-row block");
-            offsets.push(off);
-            off += s;
-        }
-        BlockLayout {
-            offsets,
-            sizes: sizes.to_vec(),
-        }
-    }
-
-    /// Number of blocks B.
-    pub fn num_blocks(&self) -> usize {
-        self.sizes.len()
-    }
-
-    /// Total stacked row count (sum of block sizes).
-    pub fn total_rows(&self) -> usize {
-        self.offsets.last().unwrap() + self.sizes.last().unwrap()
-    }
-
-    /// First stacked row of block `b`.
-    pub fn offset(&self, b: usize) -> usize {
-        self.offsets[b]
-    }
-
-    /// Row count of block `b`.
-    pub fn size(&self, b: usize) -> usize {
-        self.sizes[b]
-    }
-
-    /// Block row counts, in order.
-    pub fn sizes(&self) -> &[usize] {
-        &self.sizes
-    }
-
-    /// Stacked row indices of each block's *last* row — the readout rows
-    /// when every block's final row is its output node.
-    pub fn last_row_indices(&self) -> Vec<usize> {
-        self.offsets
-            .iter()
-            .zip(&self.sizes)
-            .map(|(&o, &s)| o + s - 1)
-            .collect()
-    }
-}
-
-/// Assembles square blocks into one block-diagonal matrix: block `b` (of
-/// shape `n_b×n_b`) lands at rows and columns `[offset(b), offset(b)+n_b)`;
-/// everything else is exactly `0.0` (the value the matmul kernels skip).
-///
-/// # Panics
-/// Panics if `blocks` is empty or a block is not square.
-pub fn block_diag(blocks: &[Tensor]) -> Tensor {
-    assert!(!blocks.is_empty(), "block_diag needs at least one block");
-    let sizes: Vec<usize> = blocks
-        .iter()
-        .map(|t| {
-            assert_eq!(t.rows(), t.cols(), "block_diag blocks must be square");
-            t.rows()
-        })
-        .collect();
-    let layout = BlockLayout::new(&sizes);
-    let n = layout.total_rows();
-    let mut out = Tensor::zeros(n, n);
-    for (b, t) in blocks.iter().enumerate() {
-        let off = layout.offset(b);
-        for i in 0..t.rows() {
-            out.row_mut(off + i)[off..off + t.cols()].copy_from_slice(t.row(i));
-        }
-    }
-    out
-}
 
 /// Stacks matrices vertically: `[A; B; …]`. Column counts must match.
 ///
@@ -148,29 +44,6 @@ pub fn stack_rows(blocks: &[Tensor]) -> Tensor {
     out
 }
 
-/// The slicing step: splits a stacked matrix back into per-block matrices
-/// along `layout`. Inverse of [`stack_rows`] for matching layouts.
-///
-/// # Panics
-/// Panics if `layout.total_rows()` differs from `t.rows()`.
-pub fn split_rows(t: &Tensor, layout: &BlockLayout) -> Vec<Tensor> {
-    assert_eq!(
-        t.rows(),
-        layout.total_rows(),
-        "split_rows layout/row mismatch"
-    );
-    (0..layout.num_blocks())
-        .map(|b| {
-            let (off, n) = (layout.offset(b), layout.size(b));
-            let mut out = Tensor::zeros(n, t.cols());
-            for i in 0..n {
-                out.row_mut(i).copy_from_slice(t.row(off + i));
-            }
-            out
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,47 +56,17 @@ mod tests {
     }
 
     #[test]
-    fn layout_offsets_and_readout_rows() {
-        let l = BlockLayout::new(&[3, 1, 4]);
-        assert_eq!(l.num_blocks(), 3);
-        assert_eq!(l.total_rows(), 8);
-        assert_eq!((l.offset(0), l.offset(1), l.offset(2)), (0, 3, 4));
-        assert_eq!((l.size(0), l.size(1), l.size(2)), (3, 1, 4));
-        assert_eq!(l.last_row_indices(), vec![2, 3, 7]);
-    }
-
-    #[test]
-    fn block_diag_places_blocks_and_zeros_elsewhere() {
-        let a = t(2, 2, 0.1);
-        let b = t(3, 3, 0.9);
-        let bd = block_diag(&[a.clone(), b.clone()]);
-        assert_eq!(bd.shape(), (5, 5));
-        assert_eq!(bd.get(1, 0), a.get(1, 0));
-        assert_eq!(bd.get(3, 4), b.get(1, 2));
-        // off-diagonal quadrants are exactly +0.0 (the skip value)
-        for i in 0..2 {
-            for j in 2..5 {
-                assert_eq!(bd.get(i, j).to_bits(), 0.0f32.to_bits());
-                assert_eq!(bd.get(j, i).to_bits(), 0.0f32.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn stack_and_split_round_trip() {
+    fn stack_rows_concatenates_blocks_in_order() {
         let blocks = vec![t(1, 4, 0.2), t(5, 4, 1.2), t(2, 4, 2.2)];
-        let layout = BlockLayout::new(&[1, 5, 2]);
         let stacked = stack_rows(&blocks);
         assert_eq!(stacked.shape(), (8, 4));
-        let back = split_rows(&stacked, &layout);
-        for (orig, got) in blocks.iter().zip(&back) {
-            assert_eq!(orig.data(), got.data());
-        }
+        let expect: Vec<f32> = blocks.iter().flat_map(|b| b.data().to_vec()).collect();
+        assert_eq!(stacked.data(), &expect[..]);
     }
 
     #[test]
-    #[should_panic(expected = "must be square")]
-    fn block_diag_rejects_rectangles() {
-        let _ = block_diag(&[t(2, 3, 0.0)]);
+    #[should_panic(expected = "column mismatch")]
+    fn stack_rows_rejects_mixed_widths() {
+        let _ = stack_rows(&[t(2, 3, 0.0), t(2, 4, 0.0)]);
     }
 }

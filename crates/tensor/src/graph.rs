@@ -13,8 +13,7 @@
 //! element-wise arithmetic and activations, adjacency-masked softmax (for
 //! graph attention), LayerNorm, row gather/scatter (embedding lookup), a
 //! few reductions, and the multi-query block ops ([`Graph::block_matmul`],
-//! [`Graph::block_matmul_nt`], [`Graph::block_diag_matmul`],
-//! [`Graph::block_mean_rows`], [`Graph::concat_rows`]) that evaluate B
+//! [`Graph::block_matmul_nt`], [`Graph::block_mean_rows`]) that evaluate B
 //! stacked queries per tape node. All dense inner loops run on the unrolled
 //! [`kernels`](crate::kernels); `MatMul` backward uses the transposed fast
 //! paths (`A·Bᵀ`, `Aᵀ·B`) instead of materializing `transpose()` copies.
@@ -37,7 +36,6 @@ pub struct Var(usize);
 enum Op {
     Leaf,
     MatMul(Var, Var),
-    BlockDiagMatMul(Var, Vec<Tensor>),
     BlockMatMul(Var, Var, usize),
     BlockMatMulNt(Var, Var, usize),
     Add(Var, Var),
@@ -54,7 +52,6 @@ enum Op {
     SoftmaxRowsMasked(Var, Option<Tensor>),
     LayerNormRows { x: Var, gamma: Var, beta: Var },
     ConcatCols(Var, Var),
-    ConcatRows(Vec<Var>),
     SliceRows(Var, usize, usize),
     BlockMeanRows(Var, Vec<usize>),
     Transpose(Var),
@@ -131,14 +128,8 @@ impl Graph {
             for aux in node.aux {
                 self.free.push(aux.into_vec());
             }
-            match node.op {
-                Op::SoftmaxRowsMasked(_, Some(mask)) => self.free.push(mask.into_vec()),
-                Op::BlockDiagMatMul(_, blocks) => {
-                    for b in blocks {
-                        self.free.push(b.into_vec());
-                    }
-                }
-                _ => {}
+            if let Op::SoftmaxRowsMasked(_, Some(mask)) = node.op {
+                self.free.push(mask.into_vec());
             }
         }
         // One pass pops at most value + grad + aux buffers per node
@@ -253,58 +244,6 @@ impl Graph {
         );
         let rg = self.rg(a) || self.rg(b);
         self.push(v, Op::MatMul(a, b), rg)
-    }
-
-    /// Block-diagonal structured product: with square constant blocks
-    /// `P_0 … P_{B-1}` (sizes `n_b`) and `x` of `Σn_b` rows, computes
-    /// `blockdiag(P_0, …) · x` without materializing the dense
-    /// block-diagonal operand — block `b` of the output is
-    /// `P_b · x[offset(b)..offset(b)+n_b]` via the same [`kernels::matmul`]
-    /// call a lone `n_b`-row pass would make, so the result is
-    /// **bit-identical** both to the dense block-diagonal product (whose
-    /// exact-`0.0` off-block entries the kernel skips) and to B separate
-    /// per-block [`Graph::matmul`]s. Cost is `Σ n_b²·c` instead of the
-    /// dense `(Σn_b)²·c` zero-scan, so stacking more queries stays linear
-    /// in B. The blocks are constants (no gradient flows into them);
-    /// backward propagates `P_bᵀ·g_b` into `x` per block.
-    ///
-    /// # Panics
-    /// Panics if `blocks` is empty, a block is not square, or the sizes do
-    /// not sum to `x`'s row count.
-    pub fn block_diag_matmul(&mut self, blocks: &[Tensor], x: Var) -> Var {
-        assert!(!blocks.is_empty(), "block_diag_matmul needs blocks");
-        let (r, c) = self.nodes[x.0].value.shape();
-        let total: usize = blocks
-            .iter()
-            .map(|b| {
-                assert_eq!(
-                    b.rows(),
-                    b.cols(),
-                    "block_diag_matmul blocks must be square"
-                );
-                b.rows()
-            })
-            .sum();
-        assert_eq!(total, r, "block sizes must sum to x's row count");
-        let mut v = self.zeros(r, c);
-        {
-            let tx = &self.nodes[x.0].value;
-            let mut off = 0usize;
-            for b in blocks {
-                let n = b.rows();
-                kernels::matmul(
-                    n,
-                    n,
-                    c,
-                    b.data(),
-                    &tx.data()[off * c..(off + n) * c],
-                    &mut v.data_mut()[off * c..(off + n) * c],
-                );
-                off += n;
-            }
-        }
-        let rg = self.rg(x);
-        self.push(v, Op::BlockDiagMatMul(x, blocks.to_vec()), rg)
     }
 
     /// Per-block matrix product over **equal-size** stacked blocks: `a`
@@ -624,33 +563,6 @@ impl Graph {
         self.push(v, Op::ConcatCols(a, b), rg)
     }
 
-    /// Vertical concatenation `[a0; a1; …]` (multi-query stacking). Column
-    /// counts must match; gradients slice back to each input.
-    ///
-    /// # Panics
-    /// Panics if `vars` is empty or column counts differ.
-    pub fn concat_rows(&mut self, vars: &[Var]) -> Var {
-        assert!(!vars.is_empty(), "concat_rows on empty list");
-        let c = self.nodes[vars[0].0].value.cols();
-        let mut rows = 0usize;
-        let mut rg = false;
-        for &x in vars {
-            assert_eq!(self.nodes[x.0].value.cols(), c, "concat_rows col mismatch");
-            rows += self.nodes[x.0].value.rows();
-            rg |= self.rg(x);
-        }
-        let mut v = self.zeros(rows, c);
-        let mut off = 0usize;
-        for &x in vars {
-            let tx = &self.nodes[x.0].value;
-            for i in 0..tx.rows() {
-                v.row_mut(off + i).copy_from_slice(tx.row(i));
-            }
-            off += tx.rows();
-        }
-        self.push(v, Op::ConcatRows(vars.to_vec()), rg)
-    }
-
     /// Contiguous row slice `a[start .. start+len]`.
     pub fn slice_rows(&mut self, a: Var, start: usize, len: usize) -> Var {
         let (r, c) = self.nodes[a.0].value.shape();
@@ -849,27 +761,6 @@ impl Graph {
         let op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf);
         match &op {
             Op::Leaf => {}
-            Op::BlockDiagMatMul(x, blocks) => {
-                let x = *x;
-                let (r, c) = g.shape();
-                let mut dx = Tensor::zeros(r, c);
-                let mut off = 0usize;
-                for b in blocks {
-                    let n = b.rows();
-                    // dX_b = P_bᵀ · g_b — the per-block transposed fast path,
-                    // bit-identical to the dense block-diagonal Aᵀ·g.
-                    kernels::matmul_tn(
-                        n,
-                        n,
-                        c,
-                        b.data(),
-                        &g.data()[off * c..(off + n) * c],
-                        &mut dx.data_mut()[off * c..(off + n) * c],
-                    );
-                    off += n;
-                }
-                self.accum(x, &dx);
-            }
             &Op::BlockMatMul(a, b, block) => {
                 // Per block: dA_i = g_i·B_iᵀ, dB_i = A_iᵀ·g_i — the same
                 // transposed fast paths as `MatMul`, block by block.
@@ -1095,18 +986,6 @@ impl Graph {
                 self.accum(a, &da);
                 self.accum(b, &db);
             }
-            Op::ConcatRows(vars) => {
-                let mut off = 0usize;
-                for &v in vars {
-                    let (r, c) = self.nodes[v.0].value.shape();
-                    let mut dv = Tensor::zeros(r, c);
-                    for i in 0..r {
-                        dv.row_mut(i).copy_from_slice(g.row(off + i));
-                    }
-                    self.accum(v, &dv);
-                    off += r;
-                }
-            }
             Op::BlockMeanRows(a, sizes) => {
                 let a = *a;
                 let (r, c) = self.nodes[a.0].value.shape();
@@ -1275,22 +1154,6 @@ mod tests {
         for v in [a, b, c] {
             assert_eq!(g.grad(v).item(), 1.0);
         }
-    }
-
-    #[test]
-    fn concat_rows_stacks_and_routes_gradients() {
-        let mut g = Graph::new();
-        let a = g.leaf(Tensor::from_vec(1, 2, vec![1.0, 2.0]));
-        let b = g.leaf(Tensor::from_vec(2, 2, vec![3.0, 4.0, 5.0, 6.0]));
-        let s = g.concat_rows(&[a, b]);
-        assert_eq!(g.value(s).shape(), (3, 2));
-        assert_eq!(g.value(s).data(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let w = g.constant(Tensor::from_vec(1, 3, vec![1.0, 10.0, 100.0]));
-        let y = g.matmul(w, s);
-        let loss = g.sum_all(y);
-        g.backward(loss);
-        assert_eq!(g.grad(a).data(), &[1.0, 1.0]);
-        assert_eq!(g.grad(b).data(), &[10.0, 10.0, 100.0, 100.0]);
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //!   embedding gather, broadcasts, reductions); [`Graph::clear`] resets the
 //!   tape while retaining its node and buffer arenas, so one tape can be
 //!   reused across thousands of forward passes without reallocating;
-//! - [`batched`]: multi-query stacking helpers — [`batched::BlockLayout`],
-//!   [`batched::block_diag`], [`batched::stack_rows`], and the graph ops
-//!   [`Graph::concat_rows`] / [`Graph::block_mean_rows`] — that let B
-//!   queries share one tape as block-diagonal tiles while staying
-//!   bit-identical to B separate passes (the kernels' exact-`0.0` skip plus
-//!   fixed accumulation order make out-of-block zeros true no-ops);
+//! - [`batched`]: [`batched::stack_rows`], which builds the stacked operands
+//!   the block graph ops ([`Graph::block_matmul`],
+//!   [`Graph::block_matmul_nt`], [`Graph::block_mean_rows`]) are checked
+//!   with: B queries share one tape while staying bit-identical to B
+//!   separate passes, because each block runs the per-query kernel call
+//!   with its fixed accumulation order;
 //! - [`ParamStore`]/[`AdamConfig`]: parameter storage with AdamW, SGD,
 //!   gradient clipping, and snapshot/restore for meta-learning baselines;
 //! - layers ([`Linear`], [`Mlp`], [`Embedding`], [`LayerNorm`]) and losses

@@ -1,15 +1,14 @@
-//! Property suite for the multi-query (block-diagonal) tape layer.
+//! Property suite for the multi-query tape ops.
 //!
-//! The contract: stacking up to B = 16 *mixed-size* blocks into one
-//! block-diagonal operand and propagating them in a single pass is
-//! **bit-identical** to running each block alone — for the structured
-//! matmul (the kernels' exact-`0.0` skip makes out-of-block zeros true
-//! no-ops), for the per-block mean readout, and for the stack/split
-//! round-trip.
+//! The contract: stacking up to B = 16 blocks and running one block graph
+//! op is **bit-identical** to running the plain op on each block alone on a
+//! fresh tape — for [`Graph::block_matmul`] and [`Graph::block_matmul_nt`]
+//! over equal-size blocks (the shape every stacked predictor pass uses), and
+//! for [`Graph::block_mean_rows`] over mixed-size blocks.
 
 use proptest::prelude::*;
 
-use nasflat_tensor::batched::{block_diag, split_rows, stack_rows, BlockLayout};
+use nasflat_tensor::batched::stack_rows;
 use nasflat_tensor::{Graph, Tensor};
 
 const MAX_BLOCKS: usize = 16;
@@ -20,7 +19,7 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Element strategy with a fat atom at exactly 0.0 (the skip value).
+/// Element strategy with a fat atom at exactly 0.0 (the kernels' skip value).
 fn element() -> impl Strategy<Value = f32> {
     prop_oneof![Just(0.0f32), -3.0f32..3.0]
 }
@@ -46,40 +45,71 @@ fn block(pool: &[f32], skip: &mut usize, rows: usize, cols: usize) -> Tensor {
     Tensor::from_vec(rows, cols, pool[start..start + rows * cols].to_vec())
 }
 
+/// Rows `[i·n, (i+1)·n)` of a stacked matrix as their own tensor.
+fn block_rows(t: &Tensor, i: usize, n: usize) -> Tensor {
+    let c = t.cols();
+    Tensor::from_vec(n, c, t.data()[i * n * c..(i + 1) * n * c].to_vec())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
-    fn block_diagonal_matmul_is_bit_identical_to_per_block_passes(
+    fn block_matmul_is_bit_identical_to_per_block_matmul(
         b in 1usize..MAX_BLOCKS + 1,
+        n in 1usize..MAX_BLOCK_ROWS + 1,
         seed in 0usize..1000,
         cols in 1usize..MAX_COLS + 1,
         p in pool(),
         x in pool(),
     ) {
-        let sizes = sizes_from(b, seed);
-        let layout = BlockLayout::new(&sizes);
         let mut skip_p = seed;
         let mut skip_x = seed + 5;
-        let props: Vec<Tensor> =
-            sizes.iter().map(|&n| block(&p, &mut skip_p, n, n)).collect();
-        let feats: Vec<Tensor> =
-            sizes.iter().map(|&n| block(&x, &mut skip_x, n, cols)).collect();
+        let props: Vec<Tensor> = (0..b).map(|_| block(&p, &mut skip_p, n, n)).collect();
+        let feats: Vec<Tensor> = (0..b).map(|_| block(&x, &mut skip_x, n, cols)).collect();
 
-        // Stacked pass: one block-diagonal propagation over stacked features.
+        // Stacked pass: one block_matmul node over B stacked n×n blocks.
         let mut g = Graph::new();
-        let pv = g.constant(block_diag(&props));
+        let pv = g.constant(stack_rows(&props));
         let xv = g.constant(stack_rows(&feats));
-        let agg = g.matmul(pv, xv);
-        let stacked_blocks = split_rows(g.value(agg), &layout);
+        let agg = g.block_matmul(pv, xv, n);
+        prop_assert_eq!(g.value(agg).shape(), (b * n, cols));
 
         // Per-block passes on fresh tapes.
-        for ((prop, feat), got) in props.iter().zip(&feats).zip(&stacked_blocks) {
+        for (i, (prop, feat)) in props.iter().zip(&feats).enumerate() {
             let mut g1 = Graph::new();
             let pv1 = g1.constant(prop.clone());
             let xv1 = g1.constant(feat.clone());
             let y1 = g1.matmul(pv1, xv1);
-            prop_assert_eq!(bits(g1.value(y1)), bits(got));
+            prop_assert_eq!(bits(g1.value(y1)), bits(&block_rows(g.value(agg), i, n)), "block {}", i);
+        }
+    }
+
+    #[test]
+    fn block_matmul_nt_is_bit_identical_to_per_block_transposed_matmul(
+        b in 1usize..MAX_BLOCKS + 1,
+        n in 1usize..MAX_BLOCK_ROWS + 1,
+        seed in 0usize..1000,
+        cols in 1usize..MAX_COLS + 1,
+        x in pool(),
+    ) {
+        let mut skip = seed;
+        let lhs: Vec<Tensor> = (0..b).map(|_| block(&x, &mut skip, n, cols)).collect();
+        let rhs: Vec<Tensor> = (0..b).map(|_| block(&x, &mut skip, n, cols)).collect();
+
+        let mut g = Graph::new();
+        let av = g.constant(stack_rows(&lhs));
+        let bv = g.constant(stack_rows(&rhs));
+        let logits = g.block_matmul_nt(av, bv, n);
+        prop_assert_eq!(g.value(logits).shape(), (b * n, n));
+
+        for (i, (l, r)) in lhs.iter().zip(&rhs).enumerate() {
+            let mut g1 = Graph::new();
+            let av1 = g1.constant(l.clone());
+            let bv1 = g1.constant(r.clone());
+            let bt = g1.transpose(bv1);
+            let y1 = g1.matmul(av1, bt);
+            prop_assert_eq!(bits(g1.value(y1)), bits(&block_rows(g.value(logits), i, n)), "block {}", i);
         }
     }
 
@@ -108,33 +138,5 @@ proptest! {
             let expect: Vec<u32> = g1.value(m1).row(0).iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(row, expect, "block {}", i);
         }
-    }
-
-    #[test]
-    fn stack_split_round_trips_and_concat_rows_agrees(
-        b in 1usize..MAX_BLOCKS + 1,
-        seed in 0usize..1000,
-        cols in 1usize..MAX_COLS + 1,
-        x in pool(),
-    ) {
-        let sizes = sizes_from(b, seed);
-        let layout = BlockLayout::new(&sizes);
-        let mut skip_x = seed;
-        let feats: Vec<Tensor> =
-            sizes.iter().map(|&n| block(&x, &mut skip_x, n, cols)).collect();
-        let stacked = stack_rows(&feats);
-        prop_assert_eq!(stacked.rows(), layout.total_rows());
-
-        // split is the inverse of stack
-        let back = split_rows(&stacked, &layout);
-        for (orig, got) in feats.iter().zip(&back) {
-            prop_assert_eq!(bits(orig), bits(got));
-        }
-
-        // the tape-level concat_rows builds the same stacked matrix
-        let mut g = Graph::new();
-        let vars: Vec<_> = feats.iter().map(|f| g.constant(f.clone())).collect();
-        let cat = g.concat_rows(&vars);
-        prop_assert_eq!(bits(g.value(cat)), bits(&stacked));
     }
 }

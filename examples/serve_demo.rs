@@ -110,12 +110,11 @@ fn main() {
         }
         println!(
             "{label:28} {workers} workers: {:7.0} queries/s  ({} groups, max {}, \
-             {} tape passes, {} per-query)  bitwise-match: {}",
+             {} tape passes)  bitwise-match: {}",
             n_queries as f64 / elapsed,
             metrics.groups,
             metrics.max_group,
-            metrics.sessions.batched_passes(),
-            metrics.sessions.per_arch_queries,
+            metrics.tape_passes,
             if ok { "yes" } else { "NO" },
         );
     }
