@@ -567,7 +567,7 @@ pub fn run_parallel_bench(threads: usize) -> ParallelReport {
     //       stacked into mixed-device multi-query passes — the pure win of
     //       the new per-row hardware-embedding gather, closing the ROADMAP
     //       "multi-device multi-query passes" item;
-    //     - `serve_throughput`: the full DynamicBatcher queue at batch 1
+    //     - `serve_throughput`: the in-process DynamicBatcher at batch 1
     //       (per-query serving) vs the coalescing default — the acceptance
     //       gate that batched serving beats per-query serving with
     //       bit-identical drained results;
@@ -636,7 +636,7 @@ pub fn run_parallel_bench(threads: usize) -> ParallelReport {
             "serve_throughput",
             threads,
             || {
-                // Baseline: per-query serving — same queue, same workers,
+                // Baseline: per-query serving — same chunking, same workers,
                 // coalescing disabled.
                 let mut digest = Vec::new();
                 let batcher = DynamicBatcher::new(&bundle, serve_cfg.clone().with_batch(1));

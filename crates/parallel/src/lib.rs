@@ -15,8 +15,6 @@
 //! - [`ThreadPool`]: a bounded concurrency policy, sized by the
 //!   `NASFLAT_THREADS` environment variable (default:
 //!   [`std::thread::available_parallelism`]),
-//! - [`with_workers`]: scoped producer/consumer plumbing (workers live for
-//!   one drain call),
 //! - [`WorkerSet`]: **long-lived** named worker threads for always-on
 //!   services (the serving layer's TCP ingress loop), with the same
 //!   nested-serialization and panic-propagation guarantees.
@@ -363,56 +361,9 @@ where
     par_map(items, map).into_iter().fold(init, &mut fold)
 }
 
-/// Queue/worker plumbing: spawns `workers` scoped worker threads running
-/// `worker(id)` while `feeder` runs on the calling thread, then joins and
-/// returns `(worker results in id order, feeder result)`.
-///
-/// This is the substrate for producer/consumer topologies (the serving
-/// layer's [`DynamicBatcher`] feeds a bounded MPSC queue that the workers
-/// drain): unlike [`par_map`], the feeder and the workers run
-/// *concurrently*, synchronizing through whatever channel the caller
-/// threads between the two closures.
-///
-/// At least one worker is always spawned — even inside a nested parallel
-/// region, where [`par_map`] would collapse to sequential — because a
-/// feeder blocking on a bounded queue with zero consumers would deadlock.
-/// Workers run with the nested-serialization flag set, so parallel calls
-/// *inside* a worker still execute sequentially. Worker panics propagate to
-/// the caller after the feeder returns.
-///
-/// [`DynamicBatcher`]: https://docs.rs/nasflat-serve
-pub fn with_workers<R, S, W, P>(workers: usize, worker: W, feeder: P) -> (Vec<R>, S)
-where
-    R: Send,
-    W: Fn(usize) -> R + Sync,
-    P: FnOnce() -> S,
-{
-    let n = workers.max(1);
-    let wref = &worker;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n)
-            .map(|id| {
-                s.spawn(move || {
-                    IN_WORKER.set(true);
-                    wref(id)
-                })
-            })
-            .collect();
-        let fed = feeder();
-        let mut out = Vec::with_capacity(n);
-        for h in handles {
-            match h.join() {
-                Ok(r) => out.push(r),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        (out, fed)
-    })
-}
-
 /// A set of **long-lived** worker threads — the lifecycle layer behind
-/// always-on services, where [`with_workers`]' scoped topology (workers live
-/// exactly as long as one drain call) is not enough.
+/// always-on services, where scoped workers (which live exactly as long as
+/// one call) are not enough.
 ///
 /// Unlike the scoped combinators, threads spawned through a `WorkerSet`
 /// outlive the spawning frame: closures must be `'static` and share state
@@ -426,7 +377,7 @@ where
 /// - every spawned thread runs with the **nested-serialization flag** set,
 ///   so parallel combinators called inside a long-lived worker execute
 ///   sequentially instead of oversubscribing the host — exactly like
-///   workers of [`par_map`] / [`with_workers`];
+///   workers of [`par_map`];
 /// - [`WorkerSet::join`] **propagates the first worker panic** to the
 ///   caller via [`std::panic::resume_unwind`], after joining every thread
 ///   (no detached stragglers, no swallowed panics).
@@ -732,78 +683,6 @@ mod tests {
         // min = 0 admits zero (used by the tape/serve batch knobs, where 0
         // means "disable batching").
         assert_eq!(parse_env_usize("T", "0", 0), Some(0));
-    }
-
-    #[test]
-    fn with_workers_drains_a_bounded_queue() {
-        use std::sync::mpsc::sync_channel;
-        use std::sync::Mutex;
-        let (tx, rx) = sync_channel::<usize>(4); // smaller than the send count
-        let rx = Mutex::new(rx);
-        let (per_worker, sent) = with_workers(
-            3,
-            |_id| {
-                let mut got = Vec::new();
-                loop {
-                    let item = rx.lock().unwrap().recv();
-                    match item {
-                        Ok(v) => got.push(v),
-                        Err(_) => return got,
-                    }
-                }
-            },
-            move || {
-                for i in 0..100usize {
-                    tx.send(i).expect("workers alive");
-                }
-                100usize
-            },
-        );
-        assert_eq!(sent, 100);
-        assert_eq!(per_worker.len(), 3);
-        let mut all: Vec<usize> = per_worker.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn with_workers_spawns_at_least_one_worker_even_when_nested() {
-        // Inside a par_map worker the nested combinators collapse to 1
-        // thread, but with_workers must still spawn a real consumer or a
-        // bounded-queue feeder would deadlock.
-        let outer: Vec<usize> = (0..2).collect();
-        let ok: Vec<bool> = with_threads(2, || {
-            par_map(&outer, |_| {
-                use std::sync::mpsc::sync_channel;
-                use std::sync::Mutex;
-                let (tx, rx) = sync_channel::<usize>(1);
-                let rx = Mutex::new(rx);
-                let (counts, ()) = with_workers(
-                    0, // clamped to 1
-                    |_| {
-                        let mut n = 0usize;
-                        while rx.lock().unwrap().recv().is_ok() {
-                            n += 1;
-                        }
-                        n
-                    },
-                    move || {
-                        for i in 0..10usize {
-                            tx.send(i).unwrap();
-                        }
-                    },
-                );
-                counts.iter().sum::<usize>() == 10
-            })
-        });
-        assert!(ok.iter().all(|&b| b));
-    }
-
-    #[test]
-    fn with_workers_worker_panic_propagates() {
-        let result =
-            std::panic::catch_unwind(|| with_workers(2, |id| assert!(id != 1, "boom"), || ()));
-        assert!(result.is_err());
     }
 
     #[test]

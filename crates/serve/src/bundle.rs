@@ -234,6 +234,28 @@ impl ModelBundle {
         })
     }
 
+    /// Checks that an (arch, device) query fits this bundle: the
+    /// architecture's space matches and the device index is in range.
+    ///
+    /// # Errors
+    /// [`ServeError::BadQuery`] naming the mismatch.
+    pub fn check_query(&self, arch: &Arch, device: usize) -> Result<(), ServeError> {
+        if arch.space() != self.space() {
+            return Err(ServeError::BadQuery(format!(
+                "{:?} architecture on a {:?} model",
+                arch.space(),
+                self.space()
+            )));
+        }
+        let num_devices = self.devices().len();
+        if device >= num_devices {
+            return Err(ServeError::BadQuery(format!(
+                "device {device} out of range ({num_devices} devices)"
+            )));
+        }
+        Ok(())
+    }
+
     /// The reference scoring path: one (arch, device) query on fresh tapes,
     /// averaged over members in order. Batched serving reproduces this bit
     /// for bit.

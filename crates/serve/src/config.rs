@@ -1,11 +1,9 @@
 //! One configuration surface for the whole serving subsystem.
 //!
-//! Before this module existed, tuning was scattered: the batcher had its
-//! own `from_env` constructor, `NASFLAT_SERVE_BATCH` was read in `lib.rs`,
-//! and the worker count came implicitly from `nasflat_parallel`. The
-//! [`ServeConfig::builder`] consolidates all of it — batching, queue
+//! [`ServeConfig::builder`] holds every serving knob — batching, queue
 //! depth, worker count, the ingress bind address, admission limits, and
-//! timeouts — behind one env-seeded builder. Environment parsing stays in
+//! timeouts — behind one env-seeded builder. The environment is read only
+//! here, when a builder is made, and parsing goes through
 //! [`nasflat_parallel::env_usize`] so malformed values warn identically
 //! everywhere.
 
@@ -13,7 +11,7 @@ use std::net::{Ipv4Addr, SocketAddr};
 use std::path::PathBuf;
 
 use crate::sched::SchedPolicy;
-use crate::serve_batch;
+use crate::DEFAULT_SERVE_BATCH;
 
 /// Tuning knobs of the serving subsystem: the [`DynamicBatcher`], the
 /// in-process registry entry points, and the TCP [`IngressServer`].
@@ -28,16 +26,17 @@ use crate::serve_batch;
 #[non_exhaustive]
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads draining the queue (clamped to at least 1).
+    /// Worker threads: in-process calls answer chunks on up to this
+    /// many, the ingress runs this many scheduler workers (clamped to at
+    /// least 1).
     pub workers: usize,
     /// Coalescing limit: the most queries one tape pass evaluates. Values
     /// 0/1 disable coalescing (per-query serving).
     pub batch: usize,
-    /// Bound of the request queue — the serving subsystem's **admission
-    /// control**. In-process drains block the enqueuing thread at this
-    /// depth; the TCP ingress instead *rejects* with a retry-after hint
-    /// ([`ServeError::Busy`](crate::ServeError::Busy)), never buffering
-    /// unboundedly.
+    /// Bound of the ingress request queue — the TCP service's **admission
+    /// control**: a request arriving at this depth is *rejected* with a
+    /// retry-after hint ([`ServeError::Busy`](crate::ServeError::Busy)),
+    /// never buffered. In-process calls have no queue and ignore it.
     pub queue_depth: usize,
     /// Ingress bind address. Port 0 picks an ephemeral port (the bound
     /// address is reported by
@@ -107,7 +106,8 @@ impl ServeConfig {
         ServeConfigBuilder {
             cfg: ServeConfig {
                 workers: nasflat_parallel::current_threads(),
-                batch: serve_batch(),
+                batch: nasflat_parallel::env_usize("NASFLAT_SERVE_BATCH", 0)
+                    .unwrap_or(DEFAULT_SERVE_BATCH),
                 queue_depth: 0, // derived at build() unless pinned
                 bind: SocketAddr::from((Ipv4Addr::LOCALHOST, 0)),
                 max_connections: 64,
@@ -165,7 +165,7 @@ pub struct ServeConfigBuilder {
 }
 
 impl ServeConfigBuilder {
-    /// Worker threads draining the queue.
+    /// Worker threads (in-process calls and ingress scheduler).
     pub fn workers(mut self, workers: usize) -> Self {
         self.cfg.workers = workers;
         self
@@ -177,7 +177,7 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Pins the request-queue bound instead of deriving it from
+    /// Pins the ingress request-queue bound instead of deriving it from
     /// workers × batch.
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.cfg.queue_depth = depth.max(1);

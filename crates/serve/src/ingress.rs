@@ -35,10 +35,11 @@
 //! answered [`ServeError::DeadlineExceeded`] immediately instead of being
 //! evaluated.
 //!
-//! **Cross-model coalescing.** Scheduler workers drain the global queue
-//! like the in-process [`DynamicBatcher`](crate::DynamicBatcher): block
-//! for a group of up to [`ServeConfig::batch`] queries, then evaluate it —
-//! grouped by model version — as mixed-device multi-query tape passes.
+//! **Cross-model coalescing.** Scheduler workers block for a group of up
+//! to [`ServeConfig::batch`] queries, then hand it to the same serving
+//! engine the in-process [`DynamicBatcher`](crate::DynamicBatcher) runs
+//! on, which evaluates it — grouped by model version — as mixed-device
+//! multi-query tape passes and credits the [`Telemetry`] ledger.
 //! Queries from *different connections* to the same model share a pass;
 //! the block-diagonal bit-identity contract makes the composition
 //! invisible: every reply is bitwise the sequential
@@ -54,7 +55,7 @@
 //! error frame or EOF.
 
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -64,16 +65,17 @@ use nasflat_space::Arch;
 
 use crate::bundle::ModelBundle;
 use crate::config::ServeConfig;
+use crate::engine::{self, Query};
 use crate::error::ServeError;
-use crate::registry::SharedRegistry;
-use crate::request::{ServeRequest, ServeResponse};
-use crate::sched::{DeadlineQueue, PushError, QueueEntry};
+use crate::registry::{ModelCounters, SharedRegistry};
+use crate::request::ServeResponse;
+use crate::sched::{DeadlineQueue, PushError};
 use crate::telemetry::{
-    render_counter, render_gauge, render_labelled, DeadlineVerdict, RequestTrace, Telemetry,
+    render_counter, render_gauge, render_labelled, RequestTrace, ServeMetrics, Telemetry,
 };
 use crate::wire::{
-    write_frame, ErrorFrame, Frame, FrameReader, MetricsFrame, ResponseFrame, ServerStats,
-    StatsFrame, WireFault, WIRE_MAX_FRAME,
+    write_frame, ErrorFrame, Frame, FrameReader, MetricsFrame, ResponseFrame, WireFault,
+    WIRE_MAX_FRAME,
 };
 
 /// One admitted query on its way to a scheduler worker. The model version
@@ -90,6 +92,16 @@ struct Job {
     reply: Sender<Reply>,
 }
 
+impl Query for Job {
+    fn model(&self) -> (u64, &ModelBundle) {
+        (self.model_version, &self.bundle)
+    }
+
+    fn query(&self) -> (&Arch, usize) {
+        (&self.arch, self.device)
+    }
+}
+
 /// What a connection's writer thread sends back. `counted` marks replies
 /// that retire an inflight slot (exactly the jobs that were admitted to
 /// the global queue). `trace` is the request's lifecycle record so far
@@ -102,12 +114,11 @@ struct Reply {
     trace: Option<RequestTrace>,
 }
 
-/// A reply is either a query's answer (score or failure), a stats
-/// snapshot, or a metrics exposition — the last two answered directly from
-/// the reader without touching the queue.
+/// A reply is either a query's answer (score or failure) or a metrics
+/// exposition, answered directly from the reader without touching the
+/// queue.
 enum ReplyBody {
     Answer(Result<ServeResponse, ServeError>),
-    Stats(ServerStats),
     Metrics(String),
 }
 
@@ -155,77 +166,13 @@ impl InflightSlots {
     }
 }
 
-#[derive(Debug, Default)]
-struct MetricsInner {
-    accepted: AtomicU64,
-    refused: AtomicU64,
-    served: AtomicU64,
-    busy: AtomicU64,
-    faulted: AtomicU64,
-    groups: AtomicU64,
-    max_group: AtomicU64,
-    deadline_met: AtomicU64,
-    deadline_missed: AtomicU64,
-    deadline_expired: AtomicU64,
-}
-
-/// A point-in-time snapshot of the ingress counters
-/// ([`IngressServer::metrics`]).
-#[non_exhaustive]
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IngressMetrics {
-    /// Connections admitted by the accept loop.
-    pub connections_accepted: u64,
-    /// Connections refused at the [`ServeConfig::max_connections`] gate.
-    pub connections_refused: u64,
-    /// Queries answered with a score.
-    pub queries_served: u64,
-    /// Requests rejected with [`ServeError::Busy`] (global queue full).
-    pub busy_rejections: u64,
-    /// Requests that failed validation or framing (bad query, unknown
-    /// model, malformed frame).
-    pub faults: u64,
-    /// Coalesced groups evaluated by the scheduler workers.
-    pub groups: u64,
-    /// Largest coalesced group (`u64` like every other field, so the
-    /// snapshot serializes uniformly).
-    pub max_group: u64,
-    /// Deadline-bound queries answered within their budget.
-    pub deadline_met: u64,
-    /// Deadline-bound queries evaluated but answered late (the client
-    /// still got the score).
-    pub deadline_missed: u64,
-    /// Queries already overdue at dequeue, answered
-    /// [`ServeError::DeadlineExceeded`] without evaluation.
-    pub deadline_expired: u64,
-}
-
 /// State shared by every ingress thread.
 struct Ingress {
     registry: SharedRegistry,
     cfg: ServeConfig,
     shutdown: AtomicBool,
     live_conns: AtomicUsize,
-    metrics: MetricsInner,
     telemetry: Arc<Telemetry>,
-}
-
-impl Ingress {
-    fn metrics_snapshot(&self) -> IngressMetrics {
-        let m = &self.metrics;
-        IngressMetrics {
-            connections_accepted: m.accepted.load(Ordering::Relaxed),
-            connections_refused: m.refused.load(Ordering::Relaxed),
-            queries_served: m.served.load(Ordering::Relaxed),
-            busy_rejections: m.busy.load(Ordering::Relaxed),
-            faults: m.faulted.load(Ordering::Relaxed),
-            groups: m.groups.load(Ordering::Relaxed),
-            max_group: m.max_group.load(Ordering::Relaxed),
-            deadline_met: m.deadline_met.load(Ordering::Relaxed),
-            deadline_missed: m.deadline_missed.load(Ordering::Relaxed),
-            deadline_expired: m.deadline_expired.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// Decrements the live-connection gauge when the *last* per-connection
@@ -283,7 +230,6 @@ impl IngressServer {
             cfg: cfg.clone(),
             shutdown: AtomicBool::new(false),
             live_conns: AtomicUsize::new(0),
-            metrics: MetricsInner::default(),
             telemetry: Arc::new(telemetry),
         });
         let queue = Arc::new(DeadlineQueue::<Job>::new(
@@ -322,14 +268,14 @@ impl IngressServer {
         self.local_addr
     }
 
-    /// A snapshot of the ingress counters.
-    pub fn metrics(&self) -> IngressMetrics {
-        self.shared.metrics_snapshot()
+    /// A snapshot of the serving ledger.
+    pub fn metrics(&self) -> ServeMetrics {
+        self.shared.telemetry.metrics()
     }
 
-    /// The server's [`Telemetry`] bundle: per-stage latency histograms,
-    /// size histograms, gauges, and the request-trace ring. In-process
-    /// access to what the `METRICS` wire op exposes as text.
+    /// The server's [`Telemetry`] bundle: the ledger, per-stage latency
+    /// histograms, size histograms, gauges, and the request-trace ring.
+    /// In-process access to what the `METRICS` wire op exposes as text.
     pub fn telemetry(&self) -> &Telemetry {
         &self.shared.telemetry
     }
@@ -353,7 +299,7 @@ impl IngressServer {
     /// Graceful shutdown: stop accepting, answer everything already
     /// admitted, flush replies, join every thread. Returns the final
     /// counter snapshot.
-    pub fn shutdown(mut self) -> IngressMetrics {
+    pub fn shutdown(mut self) -> ServeMetrics {
         self.shutdown_inner();
         self.metrics()
     }
@@ -419,7 +365,7 @@ fn accept_loop(
             break;
         }
         if shared.live_conns.load(Ordering::Acquire) >= shared.cfg.max_connections {
-            shared.metrics.refused.fetch_add(1, Ordering::Relaxed);
+            shared.telemetry.count_connection(false);
             let _ = write_frame(
                 &mut stream,
                 &Frame::Error(ErrorFrame::from_error(
@@ -431,7 +377,7 @@ fn accept_loop(
             );
             continue; // dropping the stream closes it
         }
-        shared.metrics.accepted.fetch_add(1, Ordering::Relaxed);
+        shared.telemetry.count_connection(true);
         shared.live_conns.fetch_add(1, Ordering::AcqRel);
         spawn_connection(conns, stream, shared, queue);
     }
@@ -507,7 +453,7 @@ fn reader_loop(
             Err(fault @ (WireFault::Oversized { .. } | WireFault::Malformed(_))) => {
                 // Protocol violation: tell the client why, then hang up —
                 // the stream can no longer be trusted to be in sync.
-                shared.metrics.faulted.fetch_add(1, Ordering::Relaxed);
+                shared.telemetry.count_fault();
                 let _ = reply_tx.send(fail(0, Err(ServeError::Wire(fault))));
                 break;
             }
@@ -515,43 +461,11 @@ fn reader_loop(
         };
         let request = match frame {
             Frame::Request(rf) => rf,
-            Frame::StatsRequest(id) => {
-                // Observability probe: answered inline under the registry
-                // read lock, never admitted to the job queue.
-                let snapshot = {
-                    let registry = shared.registry.read().expect("registry lock");
-                    let cache = registry.cache_stats();
-                    let tiers = registry.tier_stats();
-                    ServerStats {
-                        cache_hits: cache.hits,
-                        cache_misses: cache.misses,
-                        cache_entries: cache.entries as u64,
-                        hot: tiers.hot as u64,
-                        warm: tiers.warm as u64,
-                        durable: tiers.durable as u64,
-                        hot_capacity: tiers.hot_capacity as u64,
-                        evictions: tiers.evictions,
-                        cold_loads: tiers.cold_loads,
-                        quarantined: tiers.quarantined,
-                        models: registry.len() as u64,
-                        deadline_met: shared.metrics.deadline_met.load(Ordering::Relaxed),
-                        deadline_missed: shared.metrics.deadline_missed.load(Ordering::Relaxed),
-                        deadline_expired: shared.metrics.deadline_expired.load(Ordering::Relaxed),
-                    }
-                };
-                let _ = reply_tx.send(Reply {
-                    id,
-                    body: ReplyBody::Stats(snapshot),
-                    counted: false,
-                    trace: None,
-                });
-                continue;
-            }
             Frame::MetricsRequest(id) => {
-                // Text-exposition probe: like STATS, rendered inline by the
-                // reader and sent through the reply channel — never
-                // admitted to the job queue, so it cannot deadlock behind
-                // a full queue or an inflight cap.
+                // Text-exposition probe: rendered inline by the reader and
+                // sent through the reply channel — never admitted to the
+                // job queue, so it cannot deadlock behind a full queue or
+                // an inflight cap.
                 let text = exposition(shared, queue);
                 let _ = reply_tx.send(Reply {
                     id,
@@ -562,7 +476,7 @@ fn reader_loop(
                 continue;
             }
             _ => {
-                shared.metrics.faulted.fetch_add(1, Ordering::Relaxed);
+                shared.telemetry.count_fault();
                 let _ = reply_tx.send(fail(
                     0,
                     Err(ServeError::Wire(WireFault::Malformed(
@@ -576,7 +490,7 @@ fn reader_loop(
         let (id, req) = match request.into_request() {
             Ok(pair) => pair,
             Err(e) => {
-                shared.metrics.faulted.fetch_add(1, Ordering::Relaxed);
+                shared.telemetry.count_fault();
                 let _ = reply_tx.send(fail(raw_id, Err(e)));
                 continue;
             }
@@ -585,15 +499,15 @@ fn reader_loop(
         // the model version this request will be answered by.
         let resolved = {
             let registry = shared.registry.read().expect("registry lock");
-            registry.lookup(&req.model).and_then(|(version, bundle)| {
-                validate(&bundle, &req)?;
-                Ok((version, bundle))
+            registry.lookup_model(&req.model).and_then(|(v, b)| {
+                b.check_query(&req.arch, req.device)?;
+                Ok((v, b))
             })
         };
         let (model_version, bundle) = match resolved {
             Ok(pair) => pair,
             Err(e) => {
-                shared.metrics.faulted.fetch_add(1, Ordering::Relaxed);
+                shared.telemetry.count_fault();
                 let _ = reply_tx.send(fail(id, Err(e)));
                 continue;
             }
@@ -624,7 +538,7 @@ fn reader_loop(
                 // retry hint instead of buffering anywhere.
                 shared.telemetry.inflight().dec();
                 slots.release();
-                shared.metrics.busy.fetch_add(1, Ordering::Relaxed);
+                shared.telemetry.count_busy();
                 let _ = reply_tx.send(fail(
                     id,
                     Err(ServeError::Busy {
@@ -640,24 +554,6 @@ fn reader_loop(
             }
         }
     }
-}
-
-fn validate(bundle: &ModelBundle, req: &ServeRequest) -> Result<(), ServeError> {
-    if req.arch.space() != bundle.space() {
-        return Err(ServeError::BadQuery(format!(
-            "{:?} architecture on a {:?} model",
-            req.arch.space(),
-            bundle.space()
-        )));
-    }
-    if req.device >= bundle.devices().len() {
-        return Err(ServeError::BadQuery(format!(
-            "device index {} out of range ({} devices)",
-            req.device,
-            bundle.devices().len()
-        )));
-    }
-    Ok(())
 }
 
 /// Per-connection write half: the only thread that touches the socket's
@@ -687,10 +583,6 @@ fn writer_loop(
                     score: resp.score,
                 }),
                 ReplyBody::Answer(Err(ref e)) => Frame::Error(ErrorFrame::from_error(reply.id, e)),
-                ReplyBody::Stats(stats) => Frame::Stats(StatsFrame {
-                    id: reply.id,
-                    stats,
-                }),
                 ReplyBody::Metrics(text) => Frame::Metrics(MetricsFrame { id: reply.id, text }),
             };
             if telemetry.is_enabled() {
@@ -715,149 +607,56 @@ fn writer_loop(
 }
 
 /// Scheduler worker: block for one deadline-class group (priority order,
-/// expired entries split out), then evaluate per model version as
-/// mixed-device multi-query tape passes. Queries from different
-/// connections share passes here.
+/// expired entries split out), then answer it on the serving engine.
+/// Queries from different connections share passes here.
 fn scheduler_loop(queue: &DeadlineQueue<Job>, shared: &Ingress) {
-    let coalesce = shared.cfg.batch.max(1);
     let telemetry = &*shared.telemetry;
-    while let Some(drain) = queue.pop_group(coalesce) {
-        // One timestamp for the whole drain: every popped entry — expired
-        // or live — left the queue at this instant, so the queue-wait
-        // histogram counts exactly `queries_served + deadline_expired`
-        // observations (busy rejections never enter the queue).
+    while let Some(drain) = queue.pop_group(shared.cfg.batch.max(1)) {
         let dequeued = Instant::now();
-        // Queries already overdue at dequeue are retired first: an answer
-        // nobody is waiting for is not worth a tape pass.
-        for entry in drain.expired {
-            let missed_by_ms = entry.deadline.map_or(0, |d| {
-                dequeued
-                    .saturating_duration_since(d)
-                    .as_millis()
-                    .min(u32::MAX as u128) as u32
-            });
-            shared
-                .metrics
-                .deadline_expired
-                .fetch_add(1, Ordering::Relaxed);
-            telemetry
-                .observe_queue_wait(dequeued.duration_since(entry.admitted).as_micros() as u64);
-            let job = entry.item;
-            let trace = telemetry.is_enabled().then(|| RequestTrace {
-                request_id: job.id,
-                model: job.model.clone(),
-                admitted_us: telemetry.us_at(entry.admitted),
-                dequeued_us: telemetry.us_at(dequeued),
-                evaluated_us: 0,
-                replied_us: 0,
-                verdict: DeadlineVerdict::Expired,
-            });
-            let _ = job.reply.send(Reply {
-                id: job.id,
-                body: ReplyBody::Answer(Err(ServeError::DeadlineExceeded { missed_by_ms })),
-                counted: true,
-                trace,
-            });
-        }
-        let group: Vec<QueueEntry<Job>> = drain.live;
-        if group.is_empty() {
-            continue;
-        }
-        telemetry.observe_batch_size(group.len() as u64);
-        for entry in &group {
-            telemetry
-                .observe_queue_wait(dequeued.duration_since(entry.admitted).as_micros() as u64);
-        }
-        // Evaluate per model version, preserving pop order within each
-        // sub-group (stable grouping keeps the tape layout deterministic
-        // given the same coalesced set).
-        let mut done = vec![false; group.len()];
-        for start in 0..group.len() {
-            if done[start] {
-                continue;
-            }
-            let assembly_start = Instant::now();
-            let version = group[start].item.model_version;
-            let members: Vec<usize> = (start..group.len())
-                .filter(|&i| !done[i] && group[i].item.model_version == version)
-                .collect();
-            for &i in &members {
-                done[i] = true;
-            }
-            let bundle = group[members[0]].item.bundle.clone();
-            let archs: Vec<&Arch> = members.iter().map(|&i| &group[i].item.arch).collect();
-            let devices: Vec<usize> = members.iter().map(|&i| group[i].item.device).collect();
-            let mut sessions = bundle.open_sessions();
-            let eval_start = Instant::now();
-            let scores = bundle.score_batch_in(&mut sessions, &archs, &devices);
-            let finished = Instant::now();
-            telemetry
-                .observe_assembly(eval_start.duration_since(assembly_start).as_micros() as u64);
-            telemetry.observe_eval(finished.duration_since(eval_start).as_micros() as u64);
-            telemetry.observe_group_size(members.len() as u64);
-            telemetry.add_tape_passes(sessions.iter().map(|s| s.passes() as u64).sum());
-            shared.metrics.groups.fetch_add(1, Ordering::Relaxed);
-            shared
-                .metrics
-                .max_group
-                .fetch_max(members.len() as u64, Ordering::Relaxed);
-            shared
-                .metrics
-                .served
-                .fetch_add(members.len() as u64, Ordering::Relaxed);
+        engine::evaluate(drain, dequeued, telemetry, |answers| {
             // Credit the per-model serve counter *before* the replies go
             // out, so a scrape racing a client's tally can only see the
             // counter ahead of (never behind) the answers it observed.
-            shared
-                .registry
-                .read()
-                .expect("registry lock")
-                .record_served(&group[members[0]].item.model, members.len() as u64);
-            for (&i, score) in members.iter().zip(scores) {
-                let entry = &group[i];
-                let job = &entry.item;
-                // Deadline accounting: a query evaluated late still gets
-                // its score, but counts as missed instead of met.
-                let verdict = match entry.deadline {
-                    Some(d) if finished <= d => {
-                        shared.metrics.deadline_met.fetch_add(1, Ordering::Relaxed);
-                        DeadlineVerdict::Met
-                    }
-                    Some(_) => {
-                        shared
-                            .metrics
-                            .deadline_missed
-                            .fetch_add(1, Ordering::Relaxed);
-                        DeadlineVerdict::Missed
-                    }
-                    None => DeadlineVerdict::BestEffort,
-                };
+            let served = answers.iter().filter(|a| a.result.is_ok()).count() as u64;
+            if served > 0 {
+                shared
+                    .registry
+                    .read()
+                    .expect("registry lock")
+                    .record_served(&answers[0].entry.item.model, served);
+            }
+            for answer in answers {
+                let (job, admitted) = (answer.entry.item, answer.entry.admitted);
                 let trace = telemetry.is_enabled().then(|| RequestTrace {
                     request_id: job.id,
                     model: job.model.clone(),
-                    admitted_us: telemetry.us_at(entry.admitted),
+                    admitted_us: telemetry.us_at(admitted),
                     dequeued_us: telemetry.us_at(dequeued),
-                    evaluated_us: telemetry.us_at(finished),
+                    evaluated_us: answer.evaluated.map_or(0, |t| telemetry.us_at(t)),
                     replied_us: 0,
-                    verdict,
+                    verdict: answer.verdict,
                 });
                 // A send error means the connection's writer is gone (the
                 // client hung up); the answer is simply dropped.
                 let _ = job.reply.send(Reply {
                     id: job.id,
-                    body: ReplyBody::Answer(Ok(ServeResponse::new(score, job.model_version))),
+                    body: ReplyBody::Answer(
+                        answer
+                            .result
+                            .map(|score| ServeResponse::new(score, job.model_version)),
+                    ),
                     counted: true,
                     trace,
                 });
             }
-        }
+        });
     }
 }
 
 /// Renders the full Prometheus-style text exposition: the telemetry
-/// histograms/gauges, the live queue-depth and connection gauges, the
-/// ingress ledger counters, the registry cache/tier families, and the
-/// per-model serve/hit/miss counters. Pure reads — rendering a scrape
+/// ledger, histograms and gauges, the live queue-depth and connection
+/// gauges, the registry cache/tier families, and the per-model
+/// serve/hit/miss counters. Pure reads — rendering a scrape
 /// never perturbs what it measures beyond two registry read-locks.
 fn exposition(shared: &Ingress, queue: &DeadlineQueue<Job>) -> String {
     let mut out = String::with_capacity(4096);
@@ -868,83 +667,40 @@ fn exposition(shared: &Ingress, queue: &DeadlineQueue<Job>) -> String {
         "nasflat_connections_live",
         shared.live_conns.load(Ordering::Acquire) as u64,
     );
-    let m = shared.metrics_snapshot();
-    render_counter(
-        &mut out,
-        "nasflat_connections_accepted_total",
-        m.connections_accepted,
-    );
-    render_counter(
-        &mut out,
-        "nasflat_connections_refused_total",
-        m.connections_refused,
-    );
-    render_counter(&mut out, "nasflat_queries_served_total", m.queries_served);
-    render_counter(&mut out, "nasflat_busy_rejections_total", m.busy_rejections);
-    render_counter(&mut out, "nasflat_faults_total", m.faults);
-    render_counter(&mut out, "nasflat_groups_total", m.groups);
-    render_gauge(&mut out, "nasflat_max_group", m.max_group);
-    render_counter(&mut out, "nasflat_deadline_met_total", m.deadline_met);
-    render_counter(&mut out, "nasflat_deadline_missed_total", m.deadline_missed);
-    render_counter(
-        &mut out,
-        "nasflat_deadline_expired_total",
-        m.deadline_expired,
-    );
     let registry = shared.registry.read().expect("registry lock");
-    let cache = registry.cache_stats();
-    render_counter(&mut out, "nasflat_cache_hits_total", cache.hits);
-    render_counter(&mut out, "nasflat_cache_misses_total", cache.misses);
-    render_gauge(&mut out, "nasflat_cache_entries", cache.entries as u64);
-    let tiers = registry.tier_stats();
-    render_gauge(&mut out, "nasflat_store_hot", tiers.hot as u64);
-    render_gauge(&mut out, "nasflat_store_warm", tiers.warm as u64);
-    render_gauge(&mut out, "nasflat_store_durable", tiers.durable as u64);
-    render_gauge(
-        &mut out,
-        "nasflat_store_hot_capacity",
-        tiers.hot_capacity as u64,
-    );
-    render_counter(&mut out, "nasflat_store_evictions_total", tiers.evictions);
-    render_counter(&mut out, "nasflat_store_cold_loads_total", tiers.cold_loads);
-    render_counter(
-        &mut out,
-        "nasflat_store_quarantined_total",
-        tiers.quarantined,
-    );
-    render_gauge(&mut out, "nasflat_models", registry.len() as u64);
+    let (cache, tiers) = (registry.cache_stats(), registry.tier_stats());
+    for (name, value) in [
+        ("nasflat_cache_hits_total", cache.hits),
+        ("nasflat_cache_misses_total", cache.misses),
+        ("nasflat_store_evictions_total", tiers.evictions),
+        ("nasflat_store_cold_loads_total", tiers.cold_loads),
+        ("nasflat_store_quarantined_total", tiers.quarantined),
+    ] {
+        render_counter(&mut out, name, value);
+    }
+    for (name, value) in [
+        ("nasflat_cache_entries", cache.entries),
+        ("nasflat_store_hot", tiers.hot),
+        ("nasflat_store_warm", tiers.warm),
+        ("nasflat_store_durable", tiers.durable),
+        ("nasflat_store_hot_capacity", tiers.hot_capacity),
+        ("nasflat_models", registry.len()),
+    ] {
+        render_gauge(&mut out, name, value as u64);
+    }
     let per_model = registry.model_stats();
     drop(registry);
     use std::fmt::Write as _;
-    let _ = writeln!(out, "# TYPE nasflat_model_served_total counter");
-    for (name, c) in &per_model {
-        render_labelled(
-            &mut out,
-            "nasflat_model_served_total",
-            "model",
-            name,
-            c.served,
-        );
-    }
-    let _ = writeln!(out, "# TYPE nasflat_model_cache_hits_total counter");
-    for (name, c) in &per_model {
-        render_labelled(
-            &mut out,
-            "nasflat_model_cache_hits_total",
-            "model",
-            name,
-            c.cache_hits,
-        );
-    }
-    let _ = writeln!(out, "# TYPE nasflat_model_cache_misses_total counter");
-    for (name, c) in &per_model {
-        render_labelled(
-            &mut out,
-            "nasflat_model_cache_misses_total",
-            "model",
-            name,
-            c.cache_misses,
-        );
+    type Pick = fn(&ModelCounters) -> u64;
+    for (family, pick) in [
+        ("nasflat_model_served_total", (|c| c.served) as Pick),
+        ("nasflat_model_cache_hits_total", |c| c.cache_hits),
+        ("nasflat_model_cache_misses_total", |c| c.cache_misses),
+    ] {
+        let _ = writeln!(out, "# TYPE {family} counter");
+        for (name, c) in &per_model {
+            render_labelled(&mut out, family, "model", name, pick(c));
+        }
     }
     out
 }

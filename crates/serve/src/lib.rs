@@ -20,17 +20,21 @@
 //!   device) — repeat queries for the same pair are answered without
 //!   touching a tape. Tier movement is invisible: evicted models reload
 //!   bit-identically.
-//! - [`DynamicBatcher`]: a bounded MPSC request queue drained by
-//!   `nasflat-parallel` worker threads that **coalesce** up to
-//!   [`serve_batch`] waiting queries — *for any mix of devices* — into one
-//!   multi-query block-diagonal tape pass
+//! - [`DynamicBatcher`]: the **in-process path**. The input slice is
+//!   already in memory, so there is no queue: it is cut into
+//!   [`ServeConfig::batch`]-sized chunks (default
+//!   [`DEFAULT_SERVE_BATCH`]) that `nasflat-parallel` workers hand to the
+//!   serving engine, which scores each chunk — *for any mix of devices* —
+//!   as one multi-query block-diagonal tape pass per bundle member
 //!   ([`BatchSession::predict_batched_tape_devices`]).
 //! - [`IngressServer`]: the **always-on TCP front door** — an accept loop
 //!   speaking a small length-prefixed protocol ([`wire`]), per-connection
 //!   admission control, a bounded global queue that answers overload with
-//!   `busy, retry after` instead of buffering ([`ServeError::Busy`]), and a
-//!   scheduler that coalesces queries *across connections and models* into
-//!   shared tape passes. [`IngressClient`] is the matching blocking client.
+//!   `busy, retry after` instead of buffering ([`ServeError::Busy`]), and
+//!   scheduler workers that coalesce queries *across connections and
+//!   models* and answer each popped group on the **same serving engine**
+//!   as the in-process path. [`IngressClient`] is the matching blocking
+//!   client.
 //! - [`DeadlineQueue`]: the **deadline-aware scheduler** behind the
 //!   ingress. Requests may carry a relative `deadline_ms` budget
 //!   ([`ServeRequest::with_deadline_ms`]); the queue orders by earliest
@@ -40,9 +44,11 @@
 //!   [`ServeError::DeadlineExceeded`] instead of wasting a tape pass.
 //!   [`SchedPolicy::Fifo`] preserves the pre-deadline arrival-order drain
 //!   bit-for-bit.
-//! - [`Telemetry`]: the **observability layer** — per-stage latency
-//!   histograms (queue wait, batch assembly, tape evaluation, response
-//!   write), batch/group-size histograms, pass-shape counters, live
+//! - [`Telemetry`]: the **one counter ledger** (connections, served
+//!   queries, busy rejections, faults, groups, deadline verdicts, tape
+//!   passes; snapshot as [`ServeMetrics`]) and the **observability layer**
+//!   — per-stage latency histograms (queue wait, batch assembly, tape
+//!   evaluation, response write), batch/group-size histograms, live
 //!   queue-depth/inflight gauges, per-model serve/hit/miss counters, and a
 //!   bounded per-request trace ring. Served as a Prometheus-style text
 //!   exposition through the `METRICS` wire op
@@ -59,9 +65,9 @@
 //!
 //! # Determinism contract
 //!
-//! Dynamic batching is timing-dependent: which queries share a pass depends
-//! on what happens to be queued — and behind the ingress, on how
-//! connections interleave. That nondeterminism is **bit-invisible**: every
+//! Behind the ingress, batching is timing-dependent: which queries share a
+//! pass depends on what happens to be queued and on how connections
+//! interleave. That nondeterminism is **bit-invisible**: every
 //! row of a mixed-device multi-query pass equals the per-query forward on
 //! that (arch, device) pair alone, so results are bitwise those of a
 //! sequential [`LatencyPredictor::predict`] loop at any worker count, batch
@@ -113,6 +119,7 @@
 mod batcher;
 mod bundle;
 mod config;
+mod engine;
 mod error;
 mod ingress;
 mod registry;
@@ -122,34 +129,22 @@ mod store;
 pub mod telemetry;
 pub mod wire;
 
-pub use batcher::{DynamicBatcher, ServeMetrics, ServeQuery};
+pub use batcher::{DynamicBatcher, ServeQuery};
 pub use bundle::{BundleError, BundleMeta, ModelBundle};
 pub use config::{ServeConfig, ServeConfigBuilder};
 pub use error::ServeError;
-pub use ingress::{IngressMetrics, IngressServer};
+pub use ingress::IngressServer;
 pub use registry::{CacheStats, ModelCounters, PredictorRegistry, SharedRegistry};
 pub use request::{ServeRequest, ServeResponse};
 pub use sched::{DeadlineQueue, Drain, PushError, QueueEntry, SchedPolicy};
 pub use store::{BundleStore, StoreUpdate, TierStats};
 pub use telemetry::{
-    DeadlineVerdict, Gauge, Histogram, HistogramSnapshot, RequestTrace, Telemetry,
+    DeadlineVerdict, Gauge, Histogram, HistogramSnapshot, RequestTrace, ServeMetrics, Telemetry,
     HISTOGRAM_BUCKETS,
 };
-pub use wire::{IngressClient, ServerStats, WireFault};
+pub use wire::{IngressClient, WireFault};
 
-/// Default coalescing limit of the dynamic batcher: how many waiting
-/// queries one worker folds into a single multi-query tape pass.
+/// Default coalescing limit: the most queries one tape pass evaluates,
+/// unless `NASFLAT_SERVE_BATCH` or [`ServeConfigBuilder::batch`] says
+/// otherwise.
 pub const DEFAULT_SERVE_BATCH: usize = 16;
-
-/// The serving batch limit: `NASFLAT_SERVE_BATCH` from the environment
-/// (read once per process; malformed values warn and fall through), else
-/// [`DEFAULT_SERVE_BATCH`]. Values `0` and `1` disable coalescing — every
-/// query runs as its own tape pass (the "per-query serving" baseline the
-/// `serve_throughput` bench gate compares against).
-pub fn serve_batch() -> usize {
-    use std::sync::OnceLock;
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        nasflat_parallel::env_usize("NASFLAT_SERVE_BATCH", 0).unwrap_or(DEFAULT_SERVE_BATCH)
-    })
-}

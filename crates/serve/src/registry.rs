@@ -27,12 +27,13 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use nasflat_space::Space;
 
-use crate::batcher::{DynamicBatcher, ServeMetrics, ServeQuery};
+use crate::batcher::{drain_slots, Slot};
 use crate::bundle::ModelBundle;
 use crate::config::ServeConfig;
 use crate::error::ServeError;
 use crate::request::{ServeRequest, ServeResponse};
 use crate::store::{BundleStore, TierStats};
+use crate::telemetry::Telemetry;
 
 /// A registry behind the reader/writer lock the TCP ingress shares with
 /// operators: request paths take read locks, hot-swaps take the write lock.
@@ -330,11 +331,6 @@ impl PredictorRegistry {
         self.store.fetch(name)
     }
 
-    /// Crate-internal alias kept for the ingress path.
-    pub(crate) fn lookup(&self, name: &str) -> Result<(u64, Arc<ModelBundle>), ServeError> {
-        self.lookup_model(name)
-    }
-
     /// Wraps the registry for concurrent serving ([`SharedRegistry`]):
     /// request paths (the ingress, in-process readers) take read locks
     /// while operators hot-swap models under the write lock.
@@ -348,26 +344,14 @@ impl PredictorRegistry {
     /// Evaluation is immediate — nothing queues, so a
     /// [`ServeRequest::with_deadline_ms`] budget cannot expire here and is
     /// not consulted. Deadlines bite where requests *wait*: the
-    /// [`DynamicBatcher`] drains and the TCP ingress queue.
+    /// [`DynamicBatcher`](crate::DynamicBatcher) drains and the TCP ingress
+    /// queue.
     ///
     /// # Errors
     /// Unknown model name, or a query malformed for that model.
     pub fn serve_one(&self, req: &ServeRequest) -> Result<ServeResponse, ServeError> {
-        let (model_id, bundle) = self.lookup(&req.model)?;
-        if req.arch.space() != bundle.space() {
-            return Err(ServeError::BadQuery(format!(
-                "{:?} architecture on a {:?} model",
-                req.arch.space(),
-                bundle.space()
-            )));
-        }
-        if req.device >= bundle.devices().len() {
-            return Err(ServeError::BadQuery(format!(
-                "device index {} out of range ({} devices)",
-                req.device,
-                bundle.devices().len()
-            )));
-        }
+        let (model_id, bundle) = self.lookup_model(&req.model)?;
+        bundle.check_query(&req.arch, req.device)?;
         let key = CacheKey {
             model_id,
             space: req.arch.space(),
@@ -393,125 +377,62 @@ impl PredictorRegistry {
 
     /// Serves a request stream spanning **any mix of models**, returning
     /// responses in input order, each bitwise identical to a sequential
-    /// [`ModelBundle::predict_one`] on its model. Requests are grouped by
-    /// model (first-appearance order) and each group drains through a
-    /// [`DynamicBatcher`], so same-model requests coalesce into shared
-    /// multi-query tape passes. Streams bypass the result cache —
-    /// coalesced tape passes are already the batch-rate path, and flooding
-    /// the LRU with a one-off sweep would evict the hot NAS working set.
+    /// [`ModelBundle::predict_one`] on its model. The requests are ordered
+    /// by model (first-appearance order) and answered in one pass of the
+    /// chunked loop behind [`DynamicBatcher`](crate::DynamicBatcher), so
+    /// same-model requests share multi-query tape passes. Deadline budgets are
+    /// relative to the start of the call. Streams bypass the result cache
+    /// — coalesced tape passes are already the batch-rate path, and
+    /// flooding the LRU with a one-off sweep would evict the hot NAS
+    /// working set. Only evaluated requests count toward
+    /// [`ModelCounters::served`].
     ///
     /// # Errors
-    /// Unknown model name, or the batcher's query validation failure;
-    /// validation of the whole stream happens before anything runs.
-    /// [`ServeError::DeadlineExceeded`] when any deadline request expired —
-    /// use [`PredictorRegistry::serve_each`] to keep the rest of the stream.
+    /// Unknown model name or a query malformed for its model; the whole
+    /// stream is resolved and validated before anything runs.
+    /// [`ServeError::DeadlineExceeded`] when any deadline request expired.
     pub fn serve_requests(
         &self,
         reqs: &[ServeRequest],
         cfg: &ServeConfig,
     ) -> Result<Vec<ServeResponse>, ServeError> {
-        self.serve_requests_with_metrics(reqs, cfg)
-            .map(|(responses, _)| responses)
-    }
-
-    /// [`PredictorRegistry::serve_requests`] plus the drains'
-    /// [`ServeMetrics`], summed over model groups.
-    ///
-    /// # Errors
-    /// Same conditions as [`PredictorRegistry::serve_requests`].
-    pub fn serve_requests_with_metrics(
-        &self,
-        reqs: &[ServeRequest],
-        cfg: &ServeConfig,
-    ) -> Result<(Vec<ServeResponse>, ServeMetrics), ServeError> {
-        let (results, metrics) = self.serve_each_with_metrics(reqs, cfg)?;
-        let mut responses = Vec::with_capacity(results.len());
-        for r in results {
-            responses.push(r?);
-        }
-        Ok((responses, metrics))
-    }
-
-    /// [`PredictorRegistry::serve_requests`] with a **per-slot verdict**:
-    /// each input-order entry is `Ok(response)` (bitwise the sequential
-    /// reference) or [`ServeError::DeadlineExceeded`] for a
-    /// [`ServeRequest::with_deadline_ms`] request that was overdue at
-    /// dequeue. Budgets are relative to the start of the request's
-    /// model-group drain; best-effort requests never fail per-slot.
-    ///
-    /// # Errors
-    /// Stream-level failures only — unknown model name or query validation,
-    /// detected before anything runs. Deadline outcomes are per-slot.
-    pub fn serve_each(
-        &self,
-        reqs: &[ServeRequest],
-        cfg: &ServeConfig,
-    ) -> Result<Vec<Result<ServeResponse, ServeError>>, ServeError> {
-        self.serve_each_with_metrics(reqs, cfg).map(|(r, _)| r)
-    }
-
-    /// [`PredictorRegistry::serve_each`] plus the drains' [`ServeMetrics`],
-    /// summed over model groups.
-    ///
-    /// # Errors
-    /// Same conditions as [`PredictorRegistry::serve_each`].
-    pub fn serve_each_with_metrics(
-        &self,
-        reqs: &[ServeRequest],
-        cfg: &ServeConfig,
-    ) -> Result<(Vec<Result<ServeResponse, ServeError>>, ServeMetrics), ServeError> {
-        // Group indices by model, preserving first-appearance order.
-        let mut order: Vec<&str> = Vec::new();
-        let mut groups: HashMap<&str, Vec<usize>> = HashMap::new();
-        for (i, r) in reqs.iter().enumerate() {
-            groups
-                .entry(r.model.as_str())
-                .or_insert_with(|| {
-                    order.push(r.model.as_str());
-                    Vec::new()
-                })
-                .push(i);
-        }
-        // Resolve every model up front so a late unknown name cannot leave
-        // half the stream evaluated.
-        let resolved: Vec<(u64, Arc<ModelBundle>)> = order
-            .iter()
-            .map(|name| self.lookup(name))
-            .collect::<Result<_, _>>()?;
-        let mut results: Vec<Option<Result<ServeResponse, ServeError>>> =
-            (0..reqs.len()).map(|_| None).collect();
-        let mut metrics = ServeMetrics::default();
-        for (name, (model_id, bundle)) in order.iter().zip(resolved) {
-            let indices = &groups[name];
-            let queries: Vec<ServeQuery> = indices
-                .iter()
-                .map(|&i| {
-                    let mut q = ServeQuery::new(reqs[i].arch.clone(), reqs[i].device);
-                    q.deadline_ms = reqs[i].deadline_ms;
-                    q
-                })
-                .collect();
-            let (slots, m) =
-                DynamicBatcher::new(&bundle, cfg.clone()).serve_each_with_metrics(&queries)?;
-            self.record_served(name, indices.len() as u64);
-            metrics.queries += m.queries;
-            metrics.groups += m.groups;
-            metrics.max_group = metrics.max_group.max(m.max_group);
-            metrics.deadline_met += m.deadline_met;
-            metrics.deadline_missed += m.deadline_missed;
-            metrics.deadline_expired += m.deadline_expired;
-            metrics.tape_passes += m.tape_passes;
-            for (&i, s) in indices.iter().zip(slots) {
-                results[i] = Some(s.map(|score| ServeResponse::new(score, model_id)));
+        // Pin every request to its model's (name, version, bundle), in
+        // first-appearance order.
+        let mut models: Vec<(&str, u64, Arc<ModelBundle>)> = Vec::new();
+        let mut index: HashMap<&str, usize> = HashMap::new();
+        let mut pinned = Vec::with_capacity(reqs.len());
+        for r in reqs {
+            if !index.contains_key(r.model.as_str()) {
+                let (version, bundle) = self.lookup_model(&r.model)?;
+                index.insert(&r.model, models.len());
+                models.push((&r.model, version, bundle));
             }
+            pinned.push(index[r.model.as_str()]);
         }
-        Ok((
-            results
-                .into_iter()
-                .map(|r| r.expect("every request answered"))
-                .collect(),
-            metrics,
-        ))
+        for (r, &m) in reqs.iter().zip(&pinned) {
+            models[m].2.check_query(&r.arch, r.device)?;
+        }
+        let mut order: Vec<usize> = (0..reqs.len()).collect();
+        order.sort_by_key(|&i| pinned[i]);
+        let slots: Vec<Slot<'_>> = order
+            .into_iter()
+            .map(|i| Slot {
+                index: i,
+                version: pinned[i] as u64,
+                bundle: &models[pinned[i]].2,
+                arch: &reqs[i].arch,
+                device: reqs[i].device,
+                deadline_ms: reqs[i].deadline_ms,
+            })
+            .collect();
+        let results = drain_slots(cfg, &slots, &Telemetry::disabled(), |m, served| {
+            self.record_served(models[m as usize].0, served);
+        });
+        results
+            .into_iter()
+            .zip(&pinned)
+            .map(|(r, &m)| r.map(|score| ServeResponse::new(score, models[m].1)))
+            .collect()
     }
 }
 
@@ -703,6 +624,23 @@ mod tests {
     }
 
     #[test]
+    fn expired_stream_requests_are_not_counted_as_served() {
+        let mut reg = PredictorRegistry::new(0);
+        reg.insert("m", bundle(14)).unwrap();
+        let reqs: Vec<ServeRequest> = (0..5)
+            .map(|i| ServeRequest::new("m", Arch::nb201_from_index(i * 13), 0).with_deadline_ms(0))
+            .collect();
+        let cfg = ServeConfig::builder().workers(2).batch(2).build();
+        assert!(matches!(
+            reg.serve_requests(&reqs, &cfg),
+            Err(ServeError::DeadlineExceeded { .. })
+        ));
+        // Budget 0 is due at the start of the call, so every request
+        // expired before its chunk ran: nothing was evaluated or credited.
+        assert_eq!(reg.model_stats().get("m").map_or(0, |c| c.served), 0);
+    }
+
+    #[test]
     fn serve_requests_spans_models_and_stays_bitwise_sequential() {
         let mut reg = PredictorRegistry::new(16);
         reg.insert("alpha", bundle(6)).unwrap();
@@ -719,7 +657,7 @@ mod tests {
         let responses = reg.serve_requests(&reqs, &cfg).unwrap();
         for (r, resp) in reqs.iter().zip(&responses) {
             let bundle = reg.get(&r.model).unwrap();
-            let (version, _) = reg.lookup(&r.model).unwrap();
+            let (version, _) = reg.lookup_model(&r.model).unwrap();
             assert_eq!(
                 resp.score.to_bits(),
                 bundle.predict_one(&r.arch, r.device).to_bits()

@@ -1,5 +1,5 @@
-//! Lock-cheap, deterministic serving telemetry: fixed-bucket histograms,
-//! gauges, and a bounded request-trace ring.
+//! Lock-cheap, deterministic serving telemetry: the counter ledger,
+//! fixed-bucket histograms, gauges, and a bounded request-trace ring.
 //!
 //! The serving path must stay **bit-invisible** under observation: nothing
 //! here touches a float on the hot path, takes a lock a request waits on,
@@ -13,24 +13,28 @@
 //! - [`Gauge`]: a saturating up/down counter for live quantities (queue
 //!   depth is read straight off the queue; inflight slots go through
 //!   here).
-//! - [`Telemetry`]: the per-server bundle of every per-stage histogram
-//!   (queue wait, batch assembly, tape evaluation, response write),
-//!   the batch/group size histograms, the tape-pass counter aggregated
-//!   from the worker sessions, and the trace ring.
+//! - [`Telemetry`]: the per-server bundle. It owns the **one counter
+//!   ledger** of the serving layer (connections, served queries, busy
+//!   rejections, faults, groups, deadline verdicts, tape passes; snapshot
+//!   as [`ServeMetrics`]), every per-stage histogram (queue wait, batch
+//!   assembly, tape evaluation, response write), the batch/group size
+//!   histograms, and the trace ring.
 //! - [`RequestTrace`]: one admitted request's lifecycle timestamps
 //!   (admission → dequeue → evaluation → reply, µs from the server's
 //!   epoch) plus its deadline verdict, kept in a bounded ring
 //!   ([`Telemetry::traces`] dumps it on demand).
 //!
-//! The whole layer can be disabled ([`Telemetry::disabled`], or
-//! `telemetry(false)` on the config builder): every record call
-//! early-returns, which is what the `telemetry_overhead` bench entry
-//! compares against to pin the enabled path overhead-neutral.
+//! The histograms and traces can be disabled ([`Telemetry::disabled`], or
+//! `telemetry(false)` on the config builder): their record calls
+//! early-return, which is what the `telemetry_overhead` bench entry
+//! compares against to pin the enabled path overhead-neutral. The ledger
+//! counts either way; in-process drains run on a disabled bundle and read
+//! their [`ServeMetrics`] off it.
 //!
 //! Rendering is Prometheus-style text exposition: histograms emit
 //! cumulative `_bucket{le="..."}` samples plus `_sum`/`_count`, counters
-//! emit `_total` samples. The ingress assembles the full page (its ledger,
-//! the registry counters, queue-depth gauge) around
+//! emit `_total` samples. The ingress assembles the full page (the
+//! registry counters, queue-depth and connection gauges) around
 //! [`Telemetry::render_into`] and serves it through the `METRICS` wire op.
 
 use std::collections::VecDeque;
@@ -229,13 +233,62 @@ pub struct RequestTrace {
     pub verdict: DeadlineVerdict,
 }
 
-/// The per-server telemetry bundle: per-stage latency histograms, size
-/// histograms, pass-shape counters, the inflight gauge, and the bounded
+/// A point-in-time snapshot of the serving ledger ([`Telemetry::metrics`]):
+/// what [`IngressServer::metrics`](crate::IngressServer::metrics) and the
+/// in-process `*_with_metrics` drains report. Every field is `u64`, so the
+/// snapshot renders uniformly into the text exposition.
+#[non_exhaustive]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServeMetrics {
+    /// Connections admitted by the accept loop.
+    pub connections_accepted: u64,
+    /// Connections refused at the
+    /// [`ServeConfig::max_connections`](crate::ServeConfig::max_connections)
+    /// gate.
+    pub connections_refused: u64,
+    /// Queries evaluated and answered with a score.
+    pub queries_served: u64,
+    /// Requests rejected with [`ServeError::Busy`](crate::ServeError::Busy)
+    /// (global queue full).
+    pub busy_rejections: u64,
+    /// Requests that failed validation or framing (bad query, unknown
+    /// model, malformed frame).
+    pub faults: u64,
+    /// Same-model groups evaluated (one tape pass per bundle member each).
+    pub groups: u64,
+    /// Largest evaluated group.
+    pub max_group: u64,
+    /// Deadline-bound queries answered within their budget.
+    pub deadline_met: u64,
+    /// Deadline-bound queries evaluated but answered late (they still got
+    /// their score).
+    pub deadline_missed: u64,
+    /// Queries already overdue at dequeue, answered
+    /// [`ServeError::DeadlineExceeded`](crate::ServeError::DeadlineExceeded)
+    /// without evaluation.
+    pub deadline_expired: u64,
+    /// Multi-query tape passes run by the member sessions.
+    pub tape_passes: u64,
+}
+
+/// The per-server telemetry bundle: the counter ledger, per-stage latency
+/// histograms, size histograms, the inflight gauge, and the bounded
 /// request-trace ring. See the module docs for the determinism contract.
 #[derive(Debug)]
 pub struct Telemetry {
     enabled: bool,
     epoch: Instant,
+    connections_accepted: AtomicU64,
+    connections_refused: AtomicU64,
+    queries_served: AtomicU64,
+    busy_rejections: AtomicU64,
+    faults: AtomicU64,
+    groups: AtomicU64,
+    max_group: AtomicU64,
+    deadline_met: AtomicU64,
+    deadline_missed: AtomicU64,
+    deadline_expired: AtomicU64,
+    tape_passes: AtomicU64,
     /// Queue wait: admission → dequeue, µs (live and expired entries).
     queue_wait_us: Histogram,
     /// Batch assembly: dequeue → tape-pass start, µs (per model group).
@@ -248,8 +301,6 @@ pub struct Telemetry {
     batch_size: Histogram,
     /// Queries per same-model tape group.
     group_size: Histogram,
-    /// Multi-query tape passes run by the worker sessions.
-    tape_passes: AtomicU64,
     inflight: Gauge,
     trace_capacity: usize,
     traces: Mutex<VecDeque<RequestTrace>>,
@@ -263,22 +314,33 @@ impl Telemetry {
         Telemetry {
             enabled: true,
             epoch: Instant::now(),
+            connections_accepted: AtomicU64::new(0),
+            connections_refused: AtomicU64::new(0),
+            queries_served: AtomicU64::new(0),
+            busy_rejections: AtomicU64::new(0),
+            faults: AtomicU64::new(0),
+            groups: AtomicU64::new(0),
+            max_group: AtomicU64::new(0),
+            deadline_met: AtomicU64::new(0),
+            deadline_missed: AtomicU64::new(0),
+            deadline_expired: AtomicU64::new(0),
+            tape_passes: AtomicU64::new(0),
             queue_wait_us: Histogram::new(),
             assembly_us: Histogram::new(),
             eval_us: Histogram::new(),
             write_us: Histogram::new(),
             batch_size: Histogram::new(),
             group_size: Histogram::new(),
-            tape_passes: AtomicU64::new(0),
             inflight: Gauge::new(),
             trace_capacity,
             traces: Mutex::new(VecDeque::new()),
         }
     }
 
-    /// A disabled bundle: every record call early-returns, every snapshot
-    /// is empty. The `telemetry_overhead` bench baseline serves through
-    /// this.
+    /// A ledger-only bundle: histogram and trace record calls early-return
+    /// and their snapshots stay empty, while the ledger still counts. The
+    /// `telemetry_overhead` bench baseline serves through this, and every
+    /// in-process drain records into a fresh one.
     pub fn disabled() -> Self {
         Telemetry {
             enabled: false,
@@ -347,10 +409,58 @@ impl Telemetry {
         }
     }
 
-    /// Adds `n` tape passes run by the worker sessions.
-    pub fn add_tape_passes(&self, n: u64) {
-        if self.enabled {
-            self.tape_passes.fetch_add(n, Ordering::Relaxed);
+    /// Counts one connection, admitted or refused at the connection cap.
+    pub(crate) fn count_connection(&self, admitted: bool) {
+        let counter = if admitted {
+            &self.connections_accepted
+        } else {
+            &self.connections_refused
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one busy rejection (global queue full).
+    pub(crate) fn count_busy(&self) {
+        self.busy_rejections.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one request that failed validation or framing.
+    pub(crate) fn count_fault(&self) {
+        self.faults.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Credits `n` queries retired as expired without evaluation.
+    pub(crate) fn credit_expired(&self, n: u64) {
+        self.deadline_expired.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Credits one evaluated group of `size` queries: the tape passes its
+    /// member sessions ran and its `met`/`missed` deadline verdicts.
+    pub(crate) fn credit_group(&self, size: u64, passes: u64, met: u64, missed: u64) {
+        self.groups.fetch_add(1, Ordering::Relaxed);
+        self.max_group.fetch_max(size, Ordering::Relaxed);
+        self.queries_served.fetch_add(size, Ordering::Relaxed);
+        self.tape_passes.fetch_add(passes, Ordering::Relaxed);
+        self.deadline_met.fetch_add(met, Ordering::Relaxed);
+        self.deadline_missed.fetch_add(missed, Ordering::Relaxed);
+    }
+
+    /// A snapshot of the ledger. It counts whether or not histograms and
+    /// traces are enabled.
+    pub fn metrics(&self) -> ServeMetrics {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        ServeMetrics {
+            connections_accepted: get(&self.connections_accepted),
+            connections_refused: get(&self.connections_refused),
+            queries_served: get(&self.queries_served),
+            busy_rejections: get(&self.busy_rejections),
+            faults: get(&self.faults),
+            groups: get(&self.groups),
+            max_group: get(&self.max_group),
+            deadline_met: get(&self.deadline_met),
+            deadline_missed: get(&self.deadline_missed),
+            deadline_expired: get(&self.deadline_expired),
+            tape_passes: get(&self.tape_passes),
         }
     }
 
@@ -411,15 +521,10 @@ impl Telemetry {
         self.group_size.snapshot()
     }
 
-    /// The tape-pass counter.
-    pub fn tape_passes(&self) -> u64 {
-        self.tape_passes.load(Ordering::Relaxed)
-    }
-
     /// Renders this bundle's families (the per-stage and size histograms,
-    /// the pass counter, the inflight gauge) into `out` as Prometheus
-    /// text exposition. The ingress wraps this with its ledger, the
-    /// registry counters, and the live queue-depth gauge to form the full
+    /// the inflight gauge, the ledger) into `out` as Prometheus text
+    /// exposition. The ingress wraps this with the registry counters and
+    /// the live queue-depth and connection gauges to form the full
     /// `METRICS` page.
     pub fn render_into(&self, out: &mut String) {
         self.queue_wait_us.render_into(out, "nasflat_queue_wait_us");
@@ -429,8 +534,23 @@ impl Telemetry {
         self.write_us.render_into(out, "nasflat_response_write_us");
         self.batch_size.render_into(out, "nasflat_batch_size");
         self.group_size.render_into(out, "nasflat_group_size");
-        render_counter(out, "nasflat_tape_passes_total", self.tape_passes());
         render_gauge(out, "nasflat_inflight", self.inflight.get());
+        let m = self.metrics();
+        for (name, value) in [
+            ("nasflat_tape_passes_total", m.tape_passes),
+            ("nasflat_connections_accepted_total", m.connections_accepted),
+            ("nasflat_connections_refused_total", m.connections_refused),
+            ("nasflat_queries_served_total", m.queries_served),
+            ("nasflat_busy_rejections_total", m.busy_rejections),
+            ("nasflat_faults_total", m.faults),
+            ("nasflat_groups_total", m.groups),
+            ("nasflat_deadline_met_total", m.deadline_met),
+            ("nasflat_deadline_missed_total", m.deadline_missed),
+            ("nasflat_deadline_expired_total", m.deadline_expired),
+        ] {
+            render_counter(out, name, value);
+        }
+        render_gauge(out, "nasflat_max_group", m.max_group);
     }
 }
 
@@ -519,7 +639,7 @@ mod tests {
         t.observe_queue_wait(5);
         t.observe_eval(5);
         t.observe_batch_size(3);
-        t.add_tape_passes(4);
+        t.credit_group(2, 4, 0, 0);
         t.push_trace(RequestTrace {
             request_id: 1,
             model: "m".into(),
@@ -531,9 +651,11 @@ mod tests {
         });
         assert_eq!(t.queue_wait().count, 0);
         assert_eq!(t.eval().count, 0);
-        assert_eq!(t.tape_passes(), 0);
         assert!(t.traces().is_empty());
         assert!(!t.is_enabled());
+        // The ledger is not gated: it counts either way.
+        assert_eq!(t.metrics().tape_passes, 4);
+        assert_eq!(t.metrics().queries_served, 2);
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //!                [ u8 flags | u32 deadline_ms ]  (flags bit 0 = deadline present)
 //! RESPONSE    := 0x02 | u64 id | u64 model_version | f32 score
 //! ERROR       := 0x03 | u64 id | u8 code | u32 retry_after_ms | str detail
-//! STATS_REQ   := 0x04 | u64 id
-//! STATS       := 0x05 | u64 id | 14 × u64        (see ServerStats field order)
 //! METRICS_REQ := 0x06 | u64 id
 //! METRICS     := 0x07 | u64 id | str text        (Prometheus-style exposition;
 //!                                                 body_len ≤ WIRE_MAX_METRICS_FRAME)
@@ -23,13 +21,12 @@
 //! accepts the frame unchanged), and a decoder only reads the trailer when
 //! bytes remain after `model` (an old client's frames decode as
 //! best-effort). The deadline is a *relative* budget in milliseconds — no
-//! wall-clock crosses the wire. Similarly, STATS grew from 11 to 14 `u64`
-//! fields; decoders treat the last three (the deadline met/missed/expired
-//! counters) as optional and zero-fill when an older server omits them, and
-//! ignore any *extra* trailing bytes a newer server appends after field 14
-//! (future counters extend the body the same way the deadline counters
-//! did). STATS is the one opcode with this tolerance; every other frame
-//! still rejects trailing bytes as malformed.
+//! wall-clock crosses the wire. Every frame rejects trailing bytes as
+//! malformed.
+//!
+//! Opcodes 0x04 and 0x05 (the retired STATS probe and its snapshot) are
+//! unassigned: they decode as an unknown opcode. Everything STATS carried
+//! is a family of the METRICS exposition.
 //!
 //! Request ids are chosen by the client (any nonzero value; responses echo
 //! them), which is what makes pipelining possible: a client may keep many
@@ -65,8 +62,6 @@ pub const WIRE_MAX_METRICS_FRAME: usize = 1 << 20;
 const OP_REQUEST: u8 = 0x01;
 const OP_RESPONSE: u8 = 0x02;
 const OP_ERROR: u8 = 0x03;
-const OP_STATS_REQUEST: u8 = 0x04;
-const OP_STATS: u8 = 0x05;
 const OP_METRICS_REQUEST: u8 = 0x06;
 const OP_METRICS: u8 = 0x07;
 
@@ -283,54 +278,6 @@ impl ErrorFrame {
     }
 }
 
-/// A server-state snapshot on the wire: the registry's result-cache
-/// counters, the tiered [`BundleStore`](crate::BundleStore) occupancy, and
-/// the model count, in wire field order.
-#[non_exhaustive]
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Result-cache hits ([`CacheStats::hits`](crate::CacheStats)).
-    pub cache_hits: u64,
-    /// Result-cache misses.
-    pub cache_misses: u64,
-    /// Result-cache entries currently held.
-    pub cache_entries: u64,
-    /// Models resident in the hot tier (decoded, ready to serve).
-    pub hot: u64,
-    /// Models in the warm tier (metadata parsed, weights on disk).
-    pub warm: u64,
-    /// Models with a durable on-disk bundle (any tier).
-    pub durable: u64,
-    /// Hot-tier capacity (0 = unbounded).
-    pub hot_capacity: u64,
-    /// Hot → warm demotions performed so far.
-    pub evictions: u64,
-    /// Warm → hot promotions that decoded a bundle from disk.
-    pub cold_loads: u64,
-    /// Bundles quarantined after failing to decode.
-    pub quarantined: u64,
-    /// Models the registry currently serves.
-    pub models: u64,
-    /// Deadline-bound queries answered within their budget.
-    pub deadline_met: u64,
-    /// Deadline-bound queries evaluated but answered late (they still got
-    /// their score).
-    pub deadline_missed: u64,
-    /// Queries already overdue at dequeue, retired with
-    /// [`ServeError::DeadlineExceeded`] without
-    /// evaluation.
-    pub deadline_expired: u64,
-}
-
-/// A stats snapshot frame (server → client answer to a stats request).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StatsFrame {
-    /// Echo of the stats-request id.
-    pub id: u64,
-    /// The snapshot.
-    pub stats: ServerStats,
-}
-
 /// A metrics-exposition frame (server → client answer to a metrics
 /// request): the full Prometheus-style text page.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -350,10 +297,6 @@ pub enum Frame {
     Response(ResponseFrame),
     /// Server → client failure.
     Error(ErrorFrame),
-    /// Client → server stats probe (body: opcode + id only).
-    StatsRequest(u64),
-    /// Server → client stats snapshot.
-    Stats(StatsFrame),
     /// Client → server metrics probe (body: opcode + id only).
     MetricsRequest(u64),
     /// Server → client metrics text exposition.
@@ -391,33 +334,6 @@ impl Frame {
                 body.put_u8(e.code);
                 body.put_u32(e.retry_after_ms);
                 body.put_str(&e.detail);
-            }
-            Frame::StatsRequest(id) => {
-                body.put_u8(OP_STATS_REQUEST);
-                body.put_u64(*id);
-            }
-            Frame::Stats(s) => {
-                body.put_u8(OP_STATS);
-                body.put_u64(s.id);
-                let st = &s.stats;
-                for v in [
-                    st.cache_hits,
-                    st.cache_misses,
-                    st.cache_entries,
-                    st.hot,
-                    st.warm,
-                    st.durable,
-                    st.hot_capacity,
-                    st.evictions,
-                    st.cold_loads,
-                    st.quarantined,
-                    st.models,
-                    st.deadline_met,
-                    st.deadline_missed,
-                    st.deadline_expired,
-                ] {
-                    body.put_u64(v);
-                }
             }
             Frame::MetricsRequest(id) => {
                 body.put_u8(OP_METRICS_REQUEST);
@@ -485,54 +401,11 @@ fn decode_frame(body: &[u8]) -> Result<Frame, WireFault> {
             retry_after_ms: r.get_u32().map_err(malformed)?,
             detail: r.get_str().map_err(malformed)?.to_string(),
         }),
-        OP_STATS_REQUEST => Frame::StatsRequest(r.get_u64().map_err(malformed)?),
         OP_METRICS_REQUEST => Frame::MetricsRequest(r.get_u64().map_err(malformed)?),
         OP_METRICS => Frame::Metrics(MetricsFrame {
             id: r.get_u64().map_err(malformed)?,
             text: r.get_str().map_err(malformed)?.to_string(),
         }),
-        OP_STATS => {
-            let id = r.get_u64().map_err(malformed)?;
-            let mut fields = [0u64; 14];
-            for f in fields.iter_mut().take(11) {
-                *f = r.get_u64().map_err(malformed)?;
-            }
-            // The deadline counters are optional: an older server sends 11
-            // fields and the last three stay zero.
-            for f in fields.iter_mut().skip(11) {
-                if r.is_empty() {
-                    break;
-                }
-                *f = r.get_u64().map_err(malformed)?;
-            }
-            // Forward compatibility: a newer server may append counters
-            // past field 14. Drain and ignore them — STATS alone gets this
-            // tolerance; the global trailing-byte check below still rejects
-            // junk on every other opcode.
-            let extension = r.remaining();
-            if extension > 0 {
-                let _ = r.get_raw(extension).map_err(malformed)?;
-            }
-            Frame::Stats(StatsFrame {
-                id,
-                stats: ServerStats {
-                    cache_hits: fields[0],
-                    cache_misses: fields[1],
-                    cache_entries: fields[2],
-                    hot: fields[3],
-                    warm: fields[4],
-                    durable: fields[5],
-                    hot_capacity: fields[6],
-                    evictions: fields[7],
-                    cold_loads: fields[8],
-                    quarantined: fields[9],
-                    models: fields[10],
-                    deadline_met: fields[11],
-                    deadline_missed: fields[12],
-                    deadline_expired: fields[13],
-                },
-            })
-        }
         other => return Err(WireFault::Malformed(format!("unknown opcode {other:#x}"))),
     };
     if !r.is_empty() {
@@ -692,39 +565,12 @@ impl IngressClient {
         Ok(IngressClient { stream })
     }
 
-    /// Fetches the server's stats snapshot: result-cache counters, tiered
-    /// store occupancy, and the model count. One round trip; must not be
-    /// interleaved with outstanding [`IngressClient::predict_many`] calls
-    /// (each call fully drains its own replies).
-    ///
-    /// # Errors
-    /// Whatever the server answered with (e.g. [`ServeError::Shutdown`]) or
-    /// a local [`ServeError::Wire`] fault.
-    pub fn stats(&mut self) -> Result<ServerStats, ServeError> {
-        const STATS_ID: u64 = 1;
-        write_frame(&mut self.stream, &Frame::StatsRequest(STATS_ID))
-            .map_err(|e| ServeError::Wire(WireFault::Io(e)))?;
-        match read_frame(&mut self.stream, WIRE_MAX_FRAME) {
-            Ok(Frame::Stats(s)) if s.id == STATS_ID => Ok(s.stats),
-            Ok(Frame::Stats(s)) => Err(ServeError::Wire(WireFault::Malformed(format!(
-                "stats response for unknown id {}",
-                s.id
-            )))),
-            Ok(Frame::Error(e)) => Err(e.to_error()),
-            Ok(_) => Err(ServeError::Wire(WireFault::Malformed(
-                "unexpected frame while awaiting stats".into(),
-            ))),
-            Err(fault) => Err(ServeError::Wire(fault)),
-        }
-    }
-
     /// Fetches the server's Prometheus-style text metrics exposition:
     /// per-stage latency histograms (queue wait, batch assembly, tape
     /// evaluation, response write), batch/group-size histograms, live
     /// queue-depth and inflight gauges, the ingress ledger, and per-model
-    /// serve/hit/miss counters. Answered inline by the connection reader
-    /// (like [`IngressClient::stats`]), so it never queues behind
-    /// admission. One round trip; must not be interleaved with outstanding
+    /// serve/hit/miss counters. Answered inline by the connection reader,
+    /// so it never queues behind admission. One round trip; must not be interleaved with outstanding
     /// [`IngressClient::predict_many`] calls.
     ///
     /// # Errors
@@ -824,16 +670,10 @@ impl IngressClient {
                         ))));
                     }
                 },
-                Ok(Frame::Request(_) | Frame::StatsRequest(_) | Frame::MetricsRequest(_)) => {
+                Ok(Frame::Request(_) | Frame::MetricsRequest(_)) => {
                     abort = Some(Abort::Fault(WireFault::Malformed(
                         "server sent a request frame".into(),
                     )));
-                }
-                Ok(Frame::Stats(s)) => {
-                    abort = Some(Abort::Fault(WireFault::Malformed(format!(
-                        "unsolicited stats frame (id {})",
-                        s.id
-                    ))));
                 }
                 Ok(Frame::Metrics(m)) => {
                     abort = Some(Abort::Fault(WireFault::Malformed(format!(
@@ -885,26 +725,6 @@ mod tests {
                 0,
                 &ServeError::Busy { retry_after_ms: 12 },
             )),
-            Frame::StatsRequest(17),
-            Frame::Stats(StatsFrame {
-                id: 17,
-                stats: ServerStats {
-                    cache_hits: 1,
-                    cache_misses: 2,
-                    cache_entries: 3,
-                    hot: 4,
-                    warm: 5,
-                    durable: 6,
-                    hot_capacity: 7,
-                    evictions: 8,
-                    cold_loads: 9,
-                    quarantined: 10,
-                    models: 11,
-                    deadline_met: 12,
-                    deadline_missed: 13,
-                    deadline_expired: 14,
-                },
-            }),
             Frame::MetricsRequest(23),
             Frame::Metrics(MetricsFrame {
                 id: 23,
@@ -1150,30 +970,22 @@ mod tests {
             read_frame(&mut &bytes[..], WIRE_MAX_FRAME).unwrap_err(),
             WireFault::Malformed(d) if d.contains("flags")
         ));
-        // An 11-field stats body (older server) zero-fills the deadline
-        // counters instead of failing.
-        let mut body = ByteWriter::new();
-        body.put_u8(OP_STATS);
-        body.put_u64(3);
-        for v in 1..=11u64 {
-            body.put_u64(v);
+    }
+
+    #[test]
+    fn retired_stats_opcodes_decode_as_unknown() {
+        // 0x04 (STATS request) and 0x05 (STATS snapshot) carried an id
+        // first; with the op retired, the opcode alone already fails.
+        for op in [0x04u8, 0x05] {
+            let mut w = ByteWriter::new();
+            w.put_len(9);
+            w.put_u8(op);
+            w.put_u64(1);
+            let bytes = w.into_vec();
+            assert!(matches!(
+                read_frame(&mut &bytes[..], WIRE_MAX_FRAME).unwrap_err(),
+                WireFault::Malformed(d) if d.starts_with("unknown opcode")
+            ));
         }
-        let body = body.into_vec();
-        let mut framed = ByteWriter::new();
-        framed.put_len(body.len());
-        framed.put_raw(&body);
-        let bytes = framed.into_vec();
-        let Frame::Stats(s) = read_frame(&mut &bytes[..], WIRE_MAX_FRAME).unwrap() else {
-            panic!("stats frame expected")
-        };
-        assert_eq!(s.stats.models, 11);
-        assert_eq!(
-            (
-                s.stats.deadline_met,
-                s.stats.deadline_missed,
-                s.stats.deadline_expired
-            ),
-            (0, 0, 0)
-        );
     }
 }

@@ -197,6 +197,33 @@ fn malformed_and_oversized_frames_are_rejected_then_hung_up() {
 }
 
 #[test]
+fn retired_stats_probe_gets_an_error_frame_and_one_fault() {
+    let registry = shared_registry();
+    let cfg = ServeConfig::builder().workers(1).build();
+    let server = IngressServer::bind(registry, &cfg).expect("bind");
+
+    // What a client of the retired STATS op still sends: opcode 0x04 and
+    // a u64 request id.
+    let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+    let mut probe = 9u32.to_le_bytes().to_vec();
+    probe.push(0x04);
+    probe.extend_from_slice(&1u64.to_le_bytes());
+    sock.write_all(&probe).unwrap();
+    match read_frame(&mut sock, WIRE_MAX_FRAME).expect("error frame") {
+        Frame::Error(e) => {
+            assert_eq!(e.id, 0, "protocol faults are connection-level");
+            assert!(e.detail.contains("unknown opcode"), "{}", e.detail);
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    assert!(read_frame(&mut sock, WIRE_MAX_FRAME).is_err());
+
+    let metrics = server.shutdown();
+    assert_eq!(metrics.faults, 1);
+    assert_eq!(metrics.queries_served, 0);
+}
+
+#[test]
 fn full_queue_answers_busy_with_retry_hint_and_retries_succeed() {
     let registry = shared_registry();
     // A deliberately tiny service: one worker, no coalescing, a queue of

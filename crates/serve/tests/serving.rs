@@ -76,7 +76,7 @@ fn reloaded_bundle_serves_256_mixed_device_queries_bitwise_at_1_2_8_workers() {
                 got, expect,
                 "drained results diverged at {workers} workers, batch {batch}"
             );
-            assert_eq!(metrics.queries, 256);
+            assert_eq!(metrics.queries_served, 256);
             assert!(metrics.max_group <= batch.max(1) as u64);
             // One tape pass per coalesced group; per-query serving runs
             // one pass per query.

@@ -280,8 +280,18 @@ fn concurrent_predicts_survive_hot_swaps_and_evictions_bitwise() {
     assert_eq!(tiers.quarantined, 0);
 }
 
-/// The STATS wire op: a remote client observes the registry's result-cache
-/// counters and the store's tier occupancy through the ingress.
+/// Reads one unlabelled sample (`name value`) from a METRICS exposition.
+fn sample(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|line| {
+            let (n, v) = line.rsplit_once(' ')?;
+            (n == name).then(|| v.parse().ok()).flatten()
+        })
+        .unwrap_or_else(|| panic!("exposition is missing sample {name}:\n{text}"))
+}
+
+/// The METRICS wire op: a remote client observes the registry's model
+/// count and the store's tier occupancy through the ingress.
 #[test]
 fn ingress_stats_reports_tier_occupancy_over_the_wire() {
     let scratch = Scratch::new("stats");
@@ -301,19 +311,23 @@ fn ingress_stats_reports_tier_occupancy_over_the_wire() {
         client.predict(&req).expect("served");
     }
 
-    let stats = client.stats().expect("stats round trip");
-    assert_eq!(stats.models, 2);
-    assert_eq!(stats.durable, 2);
-    assert_eq!(stats.hot_capacity, 1);
-    assert!(stats.hot <= 1, "hot tier exceeded its capacity");
+    let text = client.metrics().expect("metrics round trip");
+    let stat = |name| sample(&text, name);
+    assert_eq!(stat("nasflat_models"), 2);
+    assert_eq!(stat("nasflat_store_durable"), 2);
+    assert_eq!(stat("nasflat_store_hot_capacity"), 1);
     assert!(
-        stats.evictions >= 1,
+        stat("nasflat_store_hot") <= 1,
+        "hot tier exceeded its capacity"
+    );
+    assert!(
+        stat("nasflat_store_evictions_total") >= 1,
         "alternating two models over one hot slot must evict"
     );
-    assert!(stats.cold_loads >= 1);
-    assert_eq!(stats.quarantined, 0);
+    assert!(stat("nasflat_store_cold_loads_total") >= 1);
+    assert_eq!(stat("nasflat_store_quarantined_total"), 0);
 
-    // The connection keeps serving predictions after a stats probe.
+    // The connection keeps serving predictions after a metrics probe.
     let req = ServeRequest::new("alpha", Arch::nb201_from_index(7), 0);
     assert!(client.predict(&req).is_ok());
     server.shutdown();

@@ -8,8 +8,8 @@ use std::collections::VecDeque;
 use std::io::Read;
 
 use nasflat_serve::wire::{
-    read_frame, ErrorFrame, Frame, FrameReader, MetricsFrame, RequestFrame, ResponseFrame,
-    ServerStats, StatsFrame, WireFault, WIRE_MAX_FRAME,
+    ErrorFrame, Frame, FrameReader, MetricsFrame, RequestFrame, ResponseFrame, WireFault,
+    WIRE_MAX_FRAME,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -79,26 +79,6 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                 })
             }
         ),
-        any::<u64>().prop_map(Frame::StatsRequest),
-        (any::<u64>(), vec(any::<u64>(), 14usize)).prop_map(|(id, f)| {
-            // ServerStats is #[non_exhaustive]: build through Default.
-            let mut stats = ServerStats::default();
-            stats.cache_hits = f[0];
-            stats.cache_misses = f[1];
-            stats.cache_entries = f[2];
-            stats.hot = f[3];
-            stats.warm = f[4];
-            stats.durable = f[5];
-            stats.hot_capacity = f[6];
-            stats.evictions = f[7];
-            stats.cold_loads = f[8];
-            stats.quarantined = f[9];
-            stats.models = f[10];
-            stats.deadline_met = f[11];
-            stats.deadline_missed = f[12];
-            stats.deadline_expired = f[13];
-            Frame::Stats(StatsFrame { id, stats })
-        }),
         any::<u64>().prop_map(Frame::MetricsRequest),
         (any::<u64>(), vec(any::<u8>(), 0usize..64)).prop_map(|(id, raw)| {
             // Printable exposition text plus newlines, like a real scrape.
@@ -115,44 +95,6 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
             Frame::Metrics(MetricsFrame { id, text })
         }),
     ]
-}
-
-/// Hand-encodes a STATS frame with `fields.len()` u64 counters and raw
-/// `extension` bytes appended — the shapes older (fewer fields) and newer
-/// (extra trailing bytes) servers put on the wire.
-fn raw_stats_frame(id: u64, fields: &[u64], extension: &[u8]) -> Vec<u8> {
-    let mut body = vec![0x05u8]; // OP_STATS
-    body.extend_from_slice(&id.to_le_bytes());
-    for f in fields {
-        body.extend_from_slice(&f.to_le_bytes());
-    }
-    body.extend_from_slice(extension);
-    let mut framed = (body.len() as u32).to_le_bytes().to_vec();
-    framed.extend_from_slice(&body);
-    framed
-}
-
-/// The canonical 14-field [`ServerStats`] for a field vector (missing
-/// trailing fields zero).
-fn stats_from(fields: &[u64]) -> ServerStats {
-    let mut f = [0u64; 14];
-    f[..fields.len()].copy_from_slice(fields);
-    let mut stats = ServerStats::default();
-    stats.cache_hits = f[0];
-    stats.cache_misses = f[1];
-    stats.cache_entries = f[2];
-    stats.hot = f[3];
-    stats.warm = f[4];
-    stats.durable = f[5];
-    stats.hot_capacity = f[6];
-    stats.evictions = f[7];
-    stats.cold_loads = f[8];
-    stats.quarantined = f[9];
-    stats.models = f[10];
-    stats.deadline_met = f[11];
-    stats.deadline_missed = f[12];
-    stats.deadline_expired = f[13];
-    stats
 }
 
 proptest! {
@@ -248,63 +190,6 @@ proptest! {
                 prop_assert!(matches!(fault, WireFault::Malformed(_)), "got {fault}");
             }
         }
-    }
-
-    /// Version skew, old server → new client: an 11-field STATS body (a
-    /// server predating the deadline counters) decodes with the three
-    /// missing counters zero-filled, and re-encodes as the canonical
-    /// 14-field frame — pinned in both directions.
-    #[test]
-    fn short_stats_body_zero_fills_the_deadline_counters(
-        id in any::<u64>(),
-        fields in vec(any::<u64>(), 11usize),
-    ) {
-        let bytes = raw_stats_frame(id, &fields, &[]);
-        let frame = read_frame(&mut &bytes[..], WIRE_MAX_FRAME).expect("short body decodes");
-        let Frame::Stats(got) = &frame else {
-            return Err(TestCaseError::fail(format!("expected Stats, got {frame:?}")));
-        };
-        prop_assert_eq!(got.id, id);
-        prop_assert_eq!(got.stats, stats_from(&fields));
-        prop_assert_eq!(got.stats.deadline_met, 0);
-        prop_assert_eq!(got.stats.deadline_missed, 0);
-        prop_assert_eq!(got.stats.deadline_expired, 0);
-        // Re-encode normalizes to the current 14-field layout.
-        let canonical = Frame::Stats(StatsFrame { id, stats: stats_from(&fields) }).encode();
-        prop_assert_eq!(frame.encode(), canonical);
-    }
-
-    /// Version skew, new server → old client: unknown trailing bytes after
-    /// the 14 known STATS counters are drained and ignored — and STATS is
-    /// the *only* opcode with that tolerance (a trailing byte on any other
-    /// frame stays a malformed-frame fault).
-    #[test]
-    fn unknown_trailing_stats_extension_is_ignored(
-        id in any::<u64>(),
-        fields in vec(any::<u64>(), 14usize),
-        extension in vec(any::<u8>(), 1usize..48),
-    ) {
-        let bytes = raw_stats_frame(id, &fields, &extension);
-        let frame = read_frame(&mut &bytes[..], WIRE_MAX_FRAME).expect("extension tolerated");
-        let Frame::Stats(got) = &frame else {
-            return Err(TestCaseError::fail(format!("expected Stats, got {frame:?}")));
-        };
-        prop_assert_eq!(got.id, id);
-        prop_assert_eq!(got.stats, stats_from(&fields), "known fields survive the extension");
-        // Re-encoding drops the unknown tail: bitwise the canonical frame.
-        let canonical = Frame::Stats(StatsFrame { id, stats: stats_from(&fields) }).encode();
-        prop_assert_eq!(frame.encode(), canonical);
-
-        // The same trailing byte on a STATS_REQUEST is still rejected.
-        let mut strict = vec![0x04u8]; // OP_STATS_REQUEST
-        strict.extend_from_slice(&id.to_le_bytes());
-        strict.push(extension[0]);
-        let mut framed = (strict.len() as u32).to_le_bytes().to_vec();
-        framed.extend_from_slice(&strict);
-        prop_assert!(matches!(
-            read_frame(&mut &framed[..], WIRE_MAX_FRAME),
-            Err(WireFault::Malformed(d)) if d.contains("trailing")
-        ));
     }
 
     #[test]

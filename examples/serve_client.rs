@@ -13,11 +13,11 @@
 //! attaches that relative budget to every request; overdue answers come
 //! back as `DeadlineExceeded` and are tallied separately.
 //!
-//! Observability probes (no query traffic is sent):
-//! `serve_client -- --stats [addr]` pretty-prints the server's STATS
-//! snapshot; `serve_client -- --metrics [addr]` dumps the Prometheus-style
-//! text exposition from the `METRICS` wire op — pipe it straight into a
-//! scrape file.
+//! Observability probe (no query traffic is sent):
+//! `serve_client -- --metrics [addr]` dumps the Prometheus-style text
+//! exposition from the `METRICS` wire op — pipe it straight into a scrape
+//! file. It carries the result-cache, store-tier, model-count and deadline
+//! counters too.
 //!
 //! [`IngressServer`]: nasflat::serve::IngressServer
 
@@ -32,35 +32,6 @@ fn connect_or_die(addr: &str) -> IngressClient {
             std::process::exit(1);
         }
     }
-}
-
-/// `--stats`: one STATS round trip, pretty-printed.
-fn probe_stats(addr: &str) {
-    let mut client = connect_or_die(addr);
-    let s = match client.stats() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("STATS probe failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!("server stats @ {addr}");
-    println!(
-        "  result cache     {} hits / {} misses ({} entries)",
-        s.cache_hits, s.cache_misses, s.cache_entries
-    );
-    println!(
-        "  store tiers      {} hot (cap {}), {} warm, {} durable — {} models",
-        s.hot, s.hot_capacity, s.warm, s.durable, s.models
-    );
-    println!(
-        "  tier churn       {} evictions, {} cold loads, {} quarantined",
-        s.evictions, s.cold_loads, s.quarantined
-    );
-    println!(
-        "  deadlines        {} met, {} missed, {} expired",
-        s.deadline_met, s.deadline_missed, s.deadline_expired
-    );
 }
 
 /// `--metrics`: one METRICS round trip; the exposition is already the
@@ -78,17 +49,10 @@ fn probe_metrics(addr: &str) {
 
 fn main() {
     let mut args = std::env::args().skip(1).peekable();
-    let probe = match args.peek().map(String::as_str) {
-        Some("--stats") => Some(probe_stats as fn(&str)),
-        Some("--metrics") => Some(probe_metrics as fn(&str)),
-        _ => None,
-    };
-    if probe.is_some() {
-        args.next();
-    }
+    let probe = args.next_if(|a| a == "--metrics").is_some();
     let addr = args.next().unwrap_or_else(|| "127.0.0.1:7878".to_string());
-    if let Some(probe) = probe {
-        probe(&addr);
+    if probe {
+        probe_metrics(&addr);
         return;
     }
     let model = args.next().unwrap_or_else(|| "nd".to_string());
