@@ -329,12 +329,12 @@ impl<'a> PretrainedTask<'a> {
     /// Transfers to every test device of the task, fanning the targets out
     /// across threads. Each fork shares the immutable pre-trained snapshot
     /// (restored into its own working weights first, so the outcome is
-    /// bit-identical to transferring sequentially), and each fork's
-    /// fine-tune/eval sweep runs through the stacked mixed-device tape path
-    /// — one forward + one backward per mini-batch (see
-    /// [`train_step_on`](crate::train_step_on)) and block-diagonal batch
-    /// evaluation, so targets share per-pass fixed costs instead of paying
-    /// them per architecture.
+    /// bit-identical to transferring sequentially). Each fork fine-tunes
+    /// with one stacked forward and one backward per mini-batch (see
+    /// [`train_step_on`](crate::train_step_on)) and evaluates its held-out
+    /// architectures in stacked passes of
+    /// [`TAPE_BLOCK`](crate::TAPE_BLOCK), so the architectures of a pass
+    /// share its fixed costs.
     ///
     /// # Errors
     /// Propagates the first (in device order) sampler failure.

@@ -14,9 +14,11 @@
 //! graph attention), LayerNorm, row gather/scatter (embedding lookup), a
 //! few reductions, and the multi-query block ops ([`Graph::block_matmul`],
 //! [`Graph::block_matmul_nt`], [`Graph::block_mean_rows`]) that evaluate B
-//! stacked queries per tape node. All dense inner loops run on the unrolled
-//! [`kernels`](crate::kernels); `MatMul` backward uses the transposed fast
-//! paths (`A·Bᵀ`, `Aᵀ·B`) instead of materializing `transpose()` copies.
+//! stacked queries per tape node. All dense inner loops run on the tiled and
+//! unrolled [`kernels`](crate::kernels); `MatMul` backward uses the
+//! transposed fast paths (`A·Bᵀ`, `Aᵀ·B`) instead of materializing
+//! `transpose()` copies. The product ops skip the gradient of an operand
+//! that requires none, such as the constant DGF propagation stack.
 //!
 //! Gradient buffers are **lazy**: nodes are pushed without them and
 //! [`Graph::backward`] materializes the tape prefix's gradients (pooled,
@@ -754,6 +756,14 @@ impl Graph {
         }
     }
 
+    /// [`Graph::accum`] for a gradient that is only computed when `v`
+    /// requires one (`None` otherwise).
+    fn accum_some(&mut self, v: Var, delta: Option<Tensor>) {
+        if let Some(delta) = delta {
+            self.accum(v, &delta);
+        }
+    }
+
     fn backprop_node(&mut self, i: usize) {
         let g = self.nodes[i].grad.clone();
         // Temporarily take the op out (restored below) instead of deep-cloning
@@ -763,36 +773,42 @@ impl Graph {
             Op::Leaf => {}
             &Op::BlockMatMul(a, b, block) => {
                 // Per block: dA_i = g_i·B_iᵀ, dB_i = A_iᵀ·g_i — the same
-                // transposed fast paths as `MatMul`, block by block.
+                // transposed fast paths as `MatMul`, block by block. An
+                // operand that needs no gradient (the DGF propagation stack
+                // is a constant) gets none computed.
                 let (da, db) = {
                     let ta = &self.nodes[a.0].value;
                     let tb = &self.nodes[b.0].value;
                     let c = tb.cols();
-                    let mut da = Tensor::zeros(ta.rows(), ta.cols());
-                    let mut db = Tensor::zeros(tb.rows(), tb.cols());
+                    let mut da = self.rg(a).then(|| Tensor::zeros(ta.rows(), ta.cols()));
+                    let mut db = self.rg(b).then(|| Tensor::zeros(tb.rows(), tb.cols()));
                     for blk in 0..ta.rows() / block {
                         let off = blk * block;
-                        kernels::matmul_nt(
-                            block,
-                            c,
-                            block,
-                            &g.data()[off * c..(off + block) * c],
-                            &tb.data()[off * c..(off + block) * c],
-                            &mut da.data_mut()[off * block..(off + block) * block],
-                        );
-                        kernels::matmul_tn(
-                            block,
-                            block,
-                            c,
-                            &ta.data()[off * block..(off + block) * block],
-                            &g.data()[off * c..(off + block) * c],
-                            &mut db.data_mut()[off * c..(off + block) * c],
-                        );
+                        if let Some(da) = &mut da {
+                            kernels::matmul_nt(
+                                block,
+                                c,
+                                block,
+                                &g.data()[off * c..(off + block) * c],
+                                &tb.data()[off * c..(off + block) * c],
+                                &mut da.data_mut()[off * block..(off + block) * block],
+                            );
+                        }
+                        if let Some(db) = &mut db {
+                            kernels::matmul_tn(
+                                block,
+                                block,
+                                c,
+                                &ta.data()[off * block..(off + block) * block],
+                                &g.data()[off * c..(off + block) * c],
+                                &mut db.data_mut()[off * c..(off + block) * c],
+                            );
+                        }
                     }
                     (da, db)
                 };
-                self.accum(a, &da);
-                self.accum(b, &db);
+                self.accum_some(a, da);
+                self.accum_some(b, db);
             }
             &Op::BlockMatMulNt(a, b, block) => {
                 // Per block (logits L_i = A_i·B_iᵀ): dA_i = g_i·B_i,
@@ -801,39 +817,43 @@ impl Graph {
                     let ta = &self.nodes[a.0].value;
                     let tb = &self.nodes[b.0].value;
                     let k = ta.cols();
-                    let mut da = Tensor::zeros(ta.rows(), k);
-                    let mut db = Tensor::zeros(tb.rows(), k);
+                    let mut da = self.rg(a).then(|| Tensor::zeros(ta.rows(), k));
+                    let mut db = self.rg(b).then(|| Tensor::zeros(tb.rows(), k));
                     for blk in 0..ta.rows() / block {
                         let off = blk * block;
-                        kernels::matmul(
-                            block,
-                            block,
-                            k,
-                            &g.data()[off * block..(off + block) * block],
-                            &tb.data()[off * k..(off + block) * k],
-                            &mut da.data_mut()[off * k..(off + block) * k],
-                        );
-                        kernels::matmul_tn(
-                            block,
-                            block,
-                            k,
-                            &g.data()[off * block..(off + block) * block],
-                            &ta.data()[off * k..(off + block) * k],
-                            &mut db.data_mut()[off * k..(off + block) * k],
-                        );
+                        if let Some(da) = &mut da {
+                            kernels::matmul(
+                                block,
+                                block,
+                                k,
+                                &g.data()[off * block..(off + block) * block],
+                                &tb.data()[off * k..(off + block) * k],
+                                &mut da.data_mut()[off * k..(off + block) * k],
+                            );
+                        }
+                        if let Some(db) = &mut db {
+                            kernels::matmul_tn(
+                                block,
+                                block,
+                                k,
+                                &g.data()[off * block..(off + block) * block],
+                                &ta.data()[off * k..(off + block) * k],
+                                &mut db.data_mut()[off * k..(off + block) * k],
+                            );
+                        }
                     }
                     (da, db)
                 };
-                self.accum(a, &da);
-                self.accum(b, &db);
+                self.accum_some(a, da);
+                self.accum_some(b, db);
             }
             &Op::MatMul(a, b) => {
                 // Transposed fast paths: dA = g·Bᵀ, dB = Aᵀ·g — bit-identical
                 // to the former transpose()-then-matmul, without the copies.
-                let da = g.matmul_nt(&self.nodes[b.0].value);
-                let db = self.nodes[a.0].value.matmul_tn(&g);
-                self.accum(a, &da);
-                self.accum(b, &db);
+                let da = self.rg(a).then(|| g.matmul_nt(&self.nodes[b.0].value));
+                let db = self.rg(b).then(|| self.nodes[a.0].value.matmul_tn(&g));
+                self.accum_some(a, da);
+                self.accum_some(b, db);
             }
             &Op::Add(a, b) => {
                 self.accum(a, &g);
@@ -845,10 +865,10 @@ impl Graph {
                 self.accum(b, &neg);
             }
             &Op::MulElem(a, b) => {
-                let da = elem_mul(&g, &self.nodes[b.0].value);
-                let db = elem_mul(&g, &self.nodes[a.0].value);
-                self.accum(a, &da);
-                self.accum(b, &db);
+                let da = self.rg(a).then(|| elem_mul(&g, &self.nodes[b.0].value));
+                let db = self.rg(b).then(|| elem_mul(&g, &self.nodes[a.0].value));
+                self.accum_some(a, da);
+                self.accum_some(b, db);
             }
             &Op::AddRowBroadcast(a, b) => {
                 self.accum(a, &g);
@@ -1082,6 +1102,54 @@ fn col_sums(g: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Builds `sum(mask ⊙ (P ⊛ X)·W) + sum((P ⊛ X) ⊛ Qᵀ)` (`⊛` per
+    /// 3-row block) with `P`, `mask` and `Q` as constants or as gradient
+    /// leaves, and returns the gradients of P, mask, Q, X and W.
+    fn constant_operand_grads(constants: bool) -> [Tensor; 5] {
+        let ramp = |rows: usize, cols: usize, seed: f32| {
+            let data = (0..rows * cols)
+                .map(|i| ((i as f32 * 0.43 + seed).sin() * 2.0) - 0.3)
+                .collect();
+            Tensor::from_vec(rows, cols, data)
+        };
+        let mut g = Graph::new();
+        let input = |g: &mut Graph, t: Tensor| {
+            if constants {
+                g.constant(t)
+            } else {
+                g.leaf(t)
+            }
+        };
+        let p = input(&mut g, ramp(6, 3, 0.1));
+        let mask = input(&mut g, ramp(6, 2, 0.9));
+        let q = input(&mut g, ramp(6, 4, 2.3));
+        let x = g.leaf(ramp(6, 4, 0.5));
+        let w = g.leaf(ramp(4, 2, 1.7));
+        let px = g.block_matmul(p, x, 3);
+        let h = g.matmul(px, w);
+        let masked = g.mul(mask, h);
+        let logits = g.block_matmul_nt(px, q, 3);
+        let (s1, s2) = (g.sum_all(masked), g.sum_all(logits));
+        let loss = g.add(s1, s2);
+        g.backward(loss);
+        [p, mask, q, x, w].map(|v| g.grad(v).clone())
+    }
+
+    #[test]
+    fn constant_operands_get_no_gradient_and_leave_the_rest_unchanged() {
+        let [p, mask, q, x, w] = constant_operand_grads(true);
+        for (name, grad) in [("P", &p), ("mask", &mask), ("Q", &q)] {
+            assert_eq!(grad.shape(), (0, 0), "constant {name} got a gradient");
+        }
+        let [p_leaf, mask_leaf, q_leaf, x_leaf, w_leaf] = constant_operand_grads(false);
+        assert_eq!(p_leaf.shape(), (6, 3));
+        assert_eq!(mask_leaf.shape(), (6, 2));
+        assert_eq!(q_leaf.shape(), (6, 4));
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x), bits(&x_leaf));
+        assert_eq!(bits(&w), bits(&w_leaf));
+    }
 
     #[test]
     fn matmul_forward_and_backward() {

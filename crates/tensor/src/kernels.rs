@@ -1,36 +1,46 @@
-//! Cache-blocked, manually unrolled `f32` compute kernels.
+//! Register-tiled and manually unrolled `f32` compute kernels.
 //!
 //! Every hot loop of the tensor layer funnels through this module: the three
 //! matrix-product variants ([`matmul`], [`matmul_nt`] for `A·Bᵀ`,
 //! [`matmul_tn`] for `Aᵀ·B`), the fused-multiply-free [`axpy`], the
 //! element-wise arithmetic kernels, and the activation maps. The kernels are
-//! written for stable Rust — no `std::simd`, no intrinsics — as 8-wide
-//! manually unrolled loops over `chunks_exact(8)`, which LLVM reliably turns
-//! into SIMD on x86-64 and aarch64.
+//! written for stable Rust — no `std::simd`, no intrinsics.
+//!
+//! The matrix products run on register tiles: per output row, a fixed-width
+//! accumulator array (32 columns, then 16- and 8-column remainder tiles and
+//! a scalar tail) lives in registers across the whole inner-product sweep,
+//! and is read from and written back to `out` once. The element-wise
+//! kernels are 8-wide manually unrolled loops over `chunks_exact(8)`. LLVM
+//! turns both into SIMD on x86-64 and aarch64.
+//!
+//! The tile bodies are compiled twice: once for the target's baseline
+//! features, and once inside a `#[target_feature(enable = "avx2")]` wrapper
+//! that [`matmul`] and [`matmul_tn`] pick per call when
+//! `is_x86_feature_detected!("avx2")` holds. The AVX2 arm does **not**
+//! enable `fma`: a fused multiply-add rounds once where the scalar loop
+//! rounds twice, which would change the bits. Non-x86 targets always run
+//! the baseline arm. Nothing configures the choice.
 //!
 //! # Bit-exactness contract
 //!
 //! Each kernel produces **bit-identical** results to the scalar reference
 //! loops that preceded it (and that the property suite in
-//! `crates/tensor/tests/kernels.rs` still checks against):
+//! `crates/tensor/tests/kernels.rs` still checks against), on either arm:
 //!
 //! - every output element accumulates its terms in a fixed order (increasing
-//!   inner-product index), never via thread- or width-dependent partial sums;
+//!   inner-product index), never via thread-, width- or arm-dependent
+//!   partial sums;
 //! - the sparse skip of the original `Tensor::matmul` — contributions whose
 //!   left-hand factor is exactly `0.0` are *skipped*, not multiplied — is
 //!   preserved, because `0.0 * b` is not a bitwise no-op for `b ∈ {±∞, NaN}`
 //!   and `(-0.0) + 0.0` flips the sign bit;
-//! - cache blocking only reorders *independent* output elements, never the
-//!   terms within one accumulation.
+//! - each product and each sum is its own IEEE-754 rounding (no FMA
+//!   contraction, which Rust never does implicitly).
 //!
-//! Unrolling is therefore free: the 8 lanes of a block are independent
-//! output elements (or independent element-wise slots), so the unrolled loop
-//! computes exactly the same `f32` sequence per element as the scalar loop.
-
-/// Columns of the left operand processed per cache block in [`matmul`]:
-/// 64 rows of the right operand (a few KiB for predictor-sized matrices)
-/// stay resident in L1 while a block is swept.
-const BLOCK_K: usize = 64;
+//! Tiling is therefore free: the lanes of a tile are independent output
+//! elements, and the tile only decides which of them share registers, so
+//! every element sees exactly the same `f32` sequence as in the scalar loop.
+//! The same holds for the 8 lanes of an unrolled element-wise block.
 
 /// `y += alpha * x`, 8-wide unrolled.
 ///
@@ -192,13 +202,148 @@ pub fn leaky_relu(slope: f32, x: &[f32], out: &mut [f32]) {
     map_unary(x, out, |v| if v > 0.0 { v } else { slope * v });
 }
 
+/// Width of the main register tile: 32 `f32` accumulators per output row,
+/// four AVX2 or eight SSE registers.
+const TILE: usize = 32;
+
+/// Which compiled copy of the tile bodies a product runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arm {
+    /// Compiled for the target's baseline features.
+    Baseline,
+    /// Compiled with AVX2 enabled. Only [`Arm::detect`] constructs it, after
+    /// the running CPU reported AVX2.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    Avx2,
+}
+
+impl Arm {
+    /// The widest arm the running CPU supports (a cached feature lookup).
+    #[inline]
+    fn detect() -> Arm {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Arm::Avx2;
+        }
+        Arm::Baseline
+    }
+}
+
+/// One `W`-column register tile: `out[j] += a[t·a_step] · b[t·n + j]` for
+/// `t` in `0..k`, in increasing `t`, skipping factors `a[t·a_step] == 0.0`.
+/// `a` starts at the output row's first factor and `b` at the tile's first
+/// column; the accumulators stay in registers across the whole sweep.
+#[inline(always)]
+fn tile<const W: usize>(k: usize, a: &[f32], a_step: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    let mut acc = [0.0f32; W];
+    acc.copy_from_slice(&out[..W]);
+    for t in 0..k {
+        let av = a[t * a_step];
+        if av == 0.0 {
+            continue;
+        }
+        for (c, &bv) in acc.iter_mut().zip(&b[t * n..t * n + W]) {
+            *c += av * bv;
+        }
+    }
+    out[..W].copy_from_slice(&acc);
+}
+
+/// The last `out.len() < 8` columns of a row, as one exact-width [`tile`].
+#[inline(always)]
+fn tail(k: usize, a: &[f32], a_step: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    match out.len() {
+        1 => tile::<1>(k, a, a_step, b, n, out),
+        2 => tile::<2>(k, a, a_step, b, n, out),
+        3 => tile::<3>(k, a, a_step, b, n, out),
+        4 => tile::<4>(k, a, a_step, b, n, out),
+        5 => tile::<5>(k, a, a_step, b, n, out),
+        6 => tile::<6>(k, a, a_step, b, n, out),
+        7 => tile::<7>(k, a, a_step, b, n, out),
+        w => unreachable!("tail tiles are 1..=7 columns wide, got {w}"),
+    }
+}
+
+/// One output row of `n` columns: full [`TILE`]s, then 16-, 8- and
+/// sub-8-column remainder tiles.
+#[inline(always)]
+fn tiled_row(k: usize, a: &[f32], a_step: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    let mut j = 0;
+    while n - j >= TILE {
+        tile::<TILE>(k, a, a_step, &b[j..], n, &mut out[j..]);
+        j += TILE;
+    }
+    if n - j >= 16 {
+        tile::<16>(k, a, a_step, &b[j..], n, &mut out[j..]);
+        j += 16;
+    }
+    if n - j >= 8 {
+        tile::<8>(k, a, a_step, &b[j..], n, &mut out[j..]);
+        j += 8;
+    }
+    if j < n {
+        tail(k, a, a_step, &b[j..], n, &mut out[j..n]);
+    }
+}
+
+/// The [`matmul`] body shared by both arms.
+#[inline(always)]
+fn matmul_tiles(k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+        tiled_row(k, arow, 1, b, n, orow);
+    }
+}
+
+/// The [`matmul_tn`] body shared by both arms: output row `i` takes its
+/// factors from column `i` of `A`.
+#[inline(always)]
+fn matmul_tn_tiles(r: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    for (i, orow) in out.chunks_exact_mut(n).enumerate() {
+        tiled_row(r, &a[i..], m, b, n, orow);
+    }
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn matmul_tiles_avx2(k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    matmul_tiles(k, n, a, b, out);
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn matmul_tn_tiles_avx2(r: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    matmul_tn_tiles(r, m, n, a, b, out);
+}
+
+/// [`matmul`] on the given arm, shapes already checked and non-empty.
+fn matmul_on(arm: Arm, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    match arm {
+        Arm::Baseline => matmul_tiles(k, n, a, b, out),
+        // SAFETY: `Arm::Avx2` is only constructed by `Arm::detect` once
+        // `is_x86_feature_detected!("avx2")` has returned true, so the CPU
+        // supports every instruction the AVX2 copy may use.
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        Arm::Avx2 => unsafe { matmul_tiles_avx2(k, n, a, b, out) },
+    }
+}
+
+/// [`matmul_tn`] on the given arm, shapes already checked and non-empty.
+fn matmul_tn_on(arm: Arm, r: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    match arm {
+        Arm::Baseline => matmul_tn_tiles(r, m, n, a, b, out),
+        // SAFETY: as in `matmul_on` — `Arm::Avx2` implies the CPU has AVX2.
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        Arm::Avx2 => unsafe { matmul_tn_tiles_avx2(r, m, n, a, b, out) },
+    }
+}
+
 /// Matrix product `out += A·B` over row-major slices (`A: m×k`, `B: k×n`,
 /// `out: m×n`; pass a zeroed `out` for a plain product).
 ///
-/// Cache-blocked over `k` (blocks of `BLOCK_K` rows of `B` stay hot across
-/// the row sweep) with the 8-wide [`axpy`] inner loop. Contributions with
-/// `a[i][k] == 0.0` are skipped and every `out[i][j]` accumulates in
-/// increasing-`k` order — bit-identical to the scalar triple loop.
+/// Register-tiled per output row (see the module docs), on the AVX2 arm
+/// when the CPU has it. Contributions with `a[i][k] == 0.0` are skipped and
+/// every `out[i][j]` accumulates in increasing-`k` order — bit-identical to
+/// the scalar triple loop.
 ///
 /// # Panics
 /// Panics if slice lengths disagree with the given shape.
@@ -209,27 +354,15 @@ pub fn matmul(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let mut kk = 0usize;
-    while kk < k {
-        let kc = BLOCK_K.min(k - kk);
-        for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-            for (dk, &av) in arow[kk..kk + kc].iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let r = kk + dk;
-                axpy(av, &b[r * n..(r + 1) * n], orow);
-            }
-        }
-        kk += kc;
-    }
+    matmul_on(Arm::detect(), k, n, a, b, out);
 }
 
 /// Output volume (`m·k·n`) below which [`matmul_nt`] computes dot products
 /// directly; above it, transposing `B` into a scratch buffer and running the
-/// blocked [`matmul`] kernel wins — the strict per-element accumulation
-/// order makes direct dots a serial dependence chain, while the axpy form
-/// vectorizes, and the `k·n` transpose cost amortizes over `m` rows.
+/// tiled [`matmul`] kernel wins — the strict per-element accumulation order
+/// makes direct dots a serial dependence chain, while the tiles vectorize
+/// across output columns, and the `k·n` transpose cost amortizes over `m`
+/// rows.
 const NT_DIRECT_MAX_VOLUME: usize = 4096;
 
 /// Transposed-right product `out += A·Bᵀ` over row-major slices (`A: m×k`,
@@ -240,7 +373,7 @@ const NT_DIRECT_MAX_VOLUME: usize = 4096;
 /// Small products compute eight output columns at a time, each with its own
 /// scalar accumulator summing in increasing-`k` order and skipping
 /// `a[i][k] == 0.0` terms; larger ones transpose `B` into a scratch buffer
-/// and reuse the blocked [`matmul`] kernel (same accumulation order and
+/// and reuse the tiled [`matmul`] kernel (same accumulation order and
 /// skip). Both paths *accumulate into* `out`; on a zeroed `out` the result
 /// is bit-identical to `A.matmul(&B.transpose())`.
 ///
@@ -254,13 +387,7 @@ pub fn matmul_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
         return;
     }
     if m * k * n > NT_DIRECT_MAX_VOLUME {
-        let mut bt = vec![0.0f32; k * n];
-        for (j, brow) in b.chunks_exact(k).enumerate() {
-            for (kk, &bv) in brow.iter().enumerate() {
-                bt[kk * n + j] = bv;
-            }
-        }
-        matmul(m, k, n, a, &bt, out);
+        matmul_nt_transposed(Arm::detect(), m, k, n, a, b, out);
         return;
     }
     for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
@@ -298,12 +425,33 @@ pub fn matmul_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
     }
 }
 
+/// The large-volume [`matmul_nt`] path on the given arm: transpose `B` into
+/// a scratch buffer, then run the [`matmul`] tiles.
+fn matmul_nt_transposed(
+    arm: Arm,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
+    debug_assert_eq!(out.len(), m * n);
+    let mut bt = vec![0.0f32; k * n];
+    for (j, brow) in b.chunks_exact(k).enumerate() {
+        for (kk, &bv) in brow.iter().enumerate() {
+            bt[kk * n + j] = bv;
+        }
+    }
+    matmul_on(arm, k, n, a, &bt, out);
+}
+
 /// Transposed-left product `out += Aᵀ·B` over row-major slices (`A: r×m`,
 /// `B: r×n`, `out: m×n`; pass a zeroed `out` for a plain product) — the
 /// backward fast path that replaces materializing `A.transpose()`.
 ///
-/// Streams one row of `A` and `B` at a time with the 8-wide [`axpy`] inner
-/// loop; every `out[i][j]` accumulates in increasing-row order, skipping
+/// Register-tiled like [`matmul`], with output row `i` reading column `i`
+/// of `A`; every `out[i][j]` accumulates in increasing-row order, skipping
 /// `a[row][i] == 0.0` terms — bit-identical to
 /// `A.transpose().matmul(&B)`.
 ///
@@ -316,14 +464,7 @@ pub fn matmul_tn(r: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
     if r == 0 || m == 0 || n == 0 {
         return;
     }
-    for (arow, brow) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
-        for (i, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            axpy(av, brow, &mut out[i * n..(i + 1) * n]);
-        }
-    }
+    matmul_tn_on(Arm::detect(), r, m, n, a, b, out);
 }
 
 #[cfg(test)]
@@ -360,7 +501,8 @@ mod tests {
 
     #[test]
     fn matmul_matches_reference_bitwise_across_blocking_boundaries() {
-        // Shapes straddling the 8-wide unroll and the BLOCK_K boundary.
+        // Shapes straddling the 8-, 16- and 32-column tile boundaries and
+        // long inner-product sweeps.
         for &(m, k, n) in &[(1, 1, 1), (3, 7, 9), (8, 64, 8), (5, 65, 17), (16, 130, 24)] {
             let a = ramp(m * k, 0.1);
             let b = ramp(k * n, 0.7);
@@ -371,6 +513,156 @@ mod tests {
                 bits(&matmul_reference(m, k, n, &a, &b)),
                 "({m},{k},{n})"
             );
+        }
+    }
+
+    /// The arms this CPU can run: always the baseline, plus AVX2 when the
+    /// CPU reports it.
+    fn arms() -> Vec<Arm> {
+        let mut arms = vec![Arm::Baseline];
+        if Arm::detect() != Arm::Baseline {
+            arms.push(Arm::detect());
+        }
+        arms
+    }
+
+    /// Output widths covering one remainder tile, exact and overhanging full
+    /// tiles, and several full tiles plus every remainder size class.
+    const TILE_WIDTHS: [usize; 9] = [1, 31, 32, 33, 64, 65, 96, 129, 200];
+
+    /// Scalar `out[i][j] += Σ_t a(i, t) · b(t, j)` in increasing `t`,
+    /// skipping `a(i, t) == 0.0` — the oracle for every product layout.
+    fn accumulate_reference(
+        (m, k, n): (usize, usize, usize),
+        a: impl Fn(usize, usize) -> f32,
+        b: impl Fn(usize, usize) -> f32,
+        out: &mut [f32],
+    ) {
+        for i in 0..m {
+            for t in 0..k {
+                let av = a(i, t);
+                if av == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    out[i * n + j] += av * b(t, j);
+                }
+            }
+        }
+    }
+
+    /// Left factors for an `m`-row, `k`-deep product: a ramp with scattered
+    /// exact zeros (one a `-0.0`), and inner index `k / 2` zero in every
+    /// row, so that a NaN/∞ behind it is only ever skipped.
+    fn lhs_factors(m: usize, k: usize, at: impl Fn(usize, usize) -> usize) -> Vec<f32> {
+        let mut a = ramp(m * k, 0.4);
+        for i in 0..m {
+            for t in 0..k {
+                if t == k / 2 || (i + t) % 7 == 3 {
+                    a[at(i, t)] = if t % 2 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+        }
+        a
+    }
+
+    /// Right factors: a ramp with `-0.0` terms and non-finite values in
+    /// inner index `k / 2`, which every left factor skips.
+    fn rhs_factors(k: usize, n: usize, at: impl Fn(usize, usize) -> usize) -> Vec<f32> {
+        let mut b = ramp(k * n, 1.1);
+        for t in 0..k {
+            for j in 0..n {
+                if t == k / 2 {
+                    b[at(t, j)] = if j % 2 == 0 { f32::NAN } else { f32::INFINITY };
+                } else if (t + j) % 5 == 0 {
+                    b[at(t, j)] = -0.0;
+                }
+            }
+        }
+        b
+    }
+
+    #[test]
+    fn every_arm_matches_the_reference_on_multi_tile_shapes() {
+        for arm in arms() {
+            for m in [1, 5] {
+                for k in [1, 9, 64, 200] {
+                    for n in TILE_WIDTHS {
+                        let shape = (m, k, n);
+                        // `out +=` semantics: seed the output with a ramp
+                        // holding zeros of both signs.
+                        let mut seed = ramp(m * n, 2.9);
+                        seed[0] = -0.0;
+                        seed[m * n - 1] = 0.0;
+
+                        // matmul: A m×k, B k×n.
+                        let a = lhs_factors(m, k, |i, t| i * k + t);
+                        let b = rhs_factors(k, n, |t, j| t * n + j);
+                        let mut want = seed.clone();
+                        accumulate_reference(
+                            shape,
+                            |i, t| a[i * k + t],
+                            |t, j| b[t * n + j],
+                            &mut want,
+                        );
+                        let mut got = seed.clone();
+                        matmul_on(arm, k, n, &a, &b, &mut got);
+                        assert_eq!(bits(&got), bits(&want), "matmul {arm:?} {shape:?}");
+
+                        // matmul_tn: A k×m (read column-wise), B k×n.
+                        let at = lhs_factors(m, k, |i, t| t * m + i);
+                        let mut want = seed.clone();
+                        accumulate_reference(
+                            shape,
+                            |i, t| at[t * m + i],
+                            |t, j| b[t * n + j],
+                            &mut want,
+                        );
+                        let mut got = seed.clone();
+                        matmul_tn_on(arm, k, m, n, &at, &b, &mut got);
+                        assert_eq!(bits(&got), bits(&want), "matmul_tn {arm:?} {shape:?}");
+
+                        // matmul_nt: A m×k, B n×k; the transposing path on
+                        // this arm, and the public entry point, which takes
+                        // the direct path for small volumes.
+                        let bn = rhs_factors(k, n, |t, j| j * k + t);
+                        let mut want = seed.clone();
+                        accumulate_reference(
+                            shape,
+                            |i, t| a[i * k + t],
+                            |t, j| bn[j * k + t],
+                            &mut want,
+                        );
+                        let mut got = seed.clone();
+                        matmul_nt_transposed(arm, m, k, n, &a, &bn, &mut got);
+                        assert_eq!(bits(&got), bits(&want), "matmul_nt {arm:?} {shape:?}");
+                        let mut got = seed.clone();
+                        matmul_nt(m, k, n, &a, &bn, &mut got);
+                        assert_eq!(bits(&got), bits(&want), "matmul_nt {shape:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_arm_skips_zero_factors_and_keeps_signed_zeros() {
+        // Single-tile versions of the NaN-behind-zero case and of a sum
+        // whose only term is `-0.0` (`0.0 + -0.0 = +0.0`, while the skipped
+        // `-0.0 · x` must leave a `-0.0` output untouched).
+        for arm in arms() {
+            let a = [0.0, 2.0];
+            let b = [f32::NAN, 1.0, 3.0, 4.0];
+            let mut out = [0.0f32; 2];
+            matmul_on(arm, 2, 2, &a, &b, &mut out);
+            assert_eq!(bits(&out), bits(&[6.0, 8.0]), "{arm:?}");
+
+            let mut out = [0.0f32, -0.0];
+            matmul_on(arm, 1, 2, &[-0.0], &[5.0, 5.0], &mut out);
+            assert_eq!(bits(&out), bits(&[0.0, -0.0]), "{arm:?}");
+            let mut out = [0.0f32];
+            matmul_tn_on(arm, 1, 1, 1, &[1.0], &[-0.0], &mut out);
+            assert_eq!(bits(&out), bits(&[0.0]), "{arm:?}");
         }
     }
 

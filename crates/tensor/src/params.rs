@@ -183,20 +183,23 @@ impl ParamStore {
     pub fn adam_step(&mut self, cfg: &AdamConfig) {
         self.step += 1;
         let t = self.step as f64;
-        let bc1 = 1.0 - (cfg.beta1 as f64).powf(t);
-        let bc2 = 1.0 - (cfg.beta2 as f64).powf(t);
+        let bc1 = (1.0 - (cfg.beta1 as f64).powf(t)) as f32;
+        let bc2 = (1.0 - (cfg.beta2 as f64).powf(t)) as f32;
         for e in &mut self.entries {
-            for i in 0..e.value.len() {
-                let g = e.grad.data()[i];
-                let m = cfg.beta1 * e.adam_m.data()[i] + (1.0 - cfg.beta1) * g;
-                let v = cfg.beta2 * e.adam_v.data()[i] + (1.0 - cfg.beta2) * g * g;
-                e.adam_m.data_mut()[i] = m;
-                e.adam_v.data_mut()[i] = v;
-                let mhat = m / bc1 as f32;
-                let vhat = v / bc2 as f32;
-                let w = e.value.data()[i];
-                let update = cfg.lr * (mhat / (vhat.sqrt() + cfg.eps) + cfg.weight_decay * w);
-                e.value.data_mut()[i] = w - update;
+            let slots = e
+                .value
+                .data_mut()
+                .iter_mut()
+                .zip(e.adam_m.data_mut())
+                .zip(e.adam_v.data_mut())
+                .zip(e.grad.data());
+            for (((w, m), v), &g) in slots {
+                *m = cfg.beta1 * *m + (1.0 - cfg.beta1) * g;
+                *v = cfg.beta2 * *v + (1.0 - cfg.beta2) * g * g;
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
+                let update = cfg.lr * (mhat / (vhat.sqrt() + cfg.eps) + cfg.weight_decay * *w);
+                *w -= update;
             }
         }
     }
@@ -278,6 +281,64 @@ mod tests {
             store.adam_step(&cfg);
         }
         assert!((store.value(w).item() - 3.0).abs() < 0.05);
+    }
+
+    /// The indexed AdamW loop that `adam_step` replaced, kept as its bit
+    /// oracle.
+    fn adam_step_indexed(store: &mut ParamStore, cfg: &AdamConfig) {
+        store.step += 1;
+        let t = store.step as f64;
+        let bc1 = 1.0 - (cfg.beta1 as f64).powf(t);
+        let bc2 = 1.0 - (cfg.beta2 as f64).powf(t);
+        for e in &mut store.entries {
+            for i in 0..e.value.len() {
+                let g = e.grad.data()[i];
+                let m = cfg.beta1 * e.adam_m.data()[i] + (1.0 - cfg.beta1) * g;
+                let v = cfg.beta2 * e.adam_v.data()[i] + (1.0 - cfg.beta2) * g * g;
+                e.adam_m.data_mut()[i] = m;
+                e.adam_v.data_mut()[i] = v;
+                let mhat = m / bc1 as f32;
+                let vhat = v / bc2 as f32;
+                let w = e.value.data()[i];
+                let update = cfg.lr * (mhat / (vhat.sqrt() + cfg.eps) + cfg.weight_decay * w);
+                e.value.data_mut()[i] = w - update;
+            }
+        }
+    }
+
+    fn state_bits(store: &ParamStore) -> Vec<u32> {
+        store
+            .entries
+            .iter()
+            .flat_map(|e| [&e.value, &e.adam_m, &e.adam_v])
+            .flat_map(|t| t.data().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn adam_step_matches_the_indexed_loop_bitwise() {
+        let ramp = |len: usize, seed: f32| -> Vec<f32> {
+            (0..len)
+                .map(|i| ((i as f32 * 0.61 + seed).sin() * 2.0) - 0.5)
+                .collect()
+        };
+        let mut fast = ParamStore::new();
+        let w = fast.add("w", Tensor::from_vec(3, 5, ramp(15, 0.2)));
+        let b = fast.add("b", Tensor::from_vec(1, 7, ramp(7, 1.3)));
+        let mut slow = fast.clone();
+        let cfg = AdamConfig::default().with_lr(0.05);
+        for step in 0..5 {
+            for store in [&mut fast, &mut slow] {
+                for (id, len) in [(w, 15), (b, 7)] {
+                    let mut g = ramp(len, step as f32 * 0.9);
+                    g[step % len] = 0.0;
+                    store.grad_mut(id).data_mut().copy_from_slice(&g);
+                }
+            }
+            fast.adam_step(&cfg);
+            adam_step_indexed(&mut slow, &cfg);
+            assert_eq!(state_bits(&fast), state_bits(&slow), "step {step}");
+        }
     }
 
     #[test]

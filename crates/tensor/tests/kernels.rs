@@ -2,7 +2,8 @@
 //!
 //! The contract under test: every kernel in `nasflat_tensor::kernels` is
 //! **bit-identical** to the scalar reference loops it replaced, for shapes
-//! up to 64×64, including the `a == 0.0` sparse skip of the original
+//! up to 64 rows and inner dimension by 99 output columns (three register
+//! tiles of 32 plus a remainder), including the `a == 0.0` sparse skip of the original
 //! `Tensor::matmul` (observable through NaN/∞ operands and `-0.0` sums) and
 //! run-to-run determinism.
 
@@ -11,6 +12,9 @@ use proptest::prelude::*;
 use nasflat_tensor::{kernels, Tensor};
 
 const MAX_DIM: usize = 64;
+/// Output columns range past two full 32-column register tiles, so products
+/// with two full tiles and a remainder tile are checked too.
+const MAX_COLS: usize = 99;
 
 /// The pre-kernel scalar triple loop, sparse skip included — the bit oracle.
 fn matmul_reference(a: &Tensor, b: &Tensor) -> Tensor {
@@ -40,10 +44,10 @@ fn element() -> impl Strategy<Value = f32> {
     prop_oneof![Just(0.0f32), -3.0f32..3.0]
 }
 
-/// Enough elements for any `MAX_DIM × MAX_DIM` operand; shapes slice a
+/// Enough elements for any `MAX_DIM × MAX_COLS` operand; shapes slice a
 /// prefix (the shim has no flat-map to size the vec from the dims).
 fn pool() -> impl Strategy<Value = Vec<f32>> {
-    proptest::collection::vec(element(), MAX_DIM * MAX_DIM)
+    proptest::collection::vec(element(), MAX_DIM * MAX_COLS)
 }
 
 fn tensor_from(pool: &[f32], rows: usize, cols: usize) -> Tensor {
@@ -57,7 +61,7 @@ proptest! {
     fn matmul_is_bit_identical_to_the_scalar_reference(
         m in 1usize..65,
         k in 1usize..65,
-        n in 1usize..65,
+        n in 1usize..MAX_COLS + 1,
         pa in pool(),
         pb in pool(),
     ) {
@@ -72,7 +76,7 @@ proptest! {
     fn matmul_is_deterministic_across_runs(
         m in 1usize..65,
         k in 1usize..65,
-        n in 1usize..65,
+        n in 1usize..MAX_COLS + 1,
         pa in pool(),
         pb in pool(),
     ) {
@@ -85,7 +89,7 @@ proptest! {
     fn matmul_nt_matches_materialized_transpose(
         m in 1usize..65,
         k in 1usize..65,
-        n in 1usize..65,
+        n in 1usize..MAX_COLS + 1,
         pa in pool(),
         pb in pool(),
     ) {
@@ -100,7 +104,7 @@ proptest! {
     fn matmul_tn_matches_materialized_transpose(
         r in 1usize..65,
         m in 1usize..65,
-        n in 1usize..65,
+        n in 1usize..MAX_COLS + 1,
         pa in pool(),
         pb in pool(),
     ) {
