@@ -113,8 +113,7 @@ impl GatLayer {
         let logits = g.matmul(ah, ht); // n×n
         let scaled = g.scale(logits, 1.0 / (self.wp.out_dim() as f32).sqrt());
         let e = g.leaky_relu(scaled, 0.2);
-        let mask = g.value(prop).clone();
-        let attn = g.softmax_rows_masked(e, Some(mask));
+        let attn = g.softmax_rows_masked(e, Some(prop));
         let ctx = g.matmul(attn, h);
         let gate = self.wo.forward(g, store, ops);
         let gate = g.sigmoid(gate);
@@ -145,8 +144,7 @@ impl GatLayer {
         let logits = g.block_matmul_nt(ah, h, block);
         let scaled = g.scale(logits, 1.0 / (self.wp.out_dim() as f32).sqrt());
         let e = g.leaky_relu(scaled, 0.2);
-        let mask = g.value(prop_stack).clone();
-        let attn = g.softmax_rows_masked(e, Some(mask));
+        let attn = g.softmax_rows_masked(e, Some(prop_stack));
         let ctx = g.block_matmul(attn, h, block);
         let gate = self.wo.forward(g, store, ops);
         let gate = g.sigmoid(gate);

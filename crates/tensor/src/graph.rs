@@ -5,7 +5,8 @@
 //! resets it for the next forward pass while **retaining its arenas** — the
 //! node vector's capacity and every node's `f32` buffer go back into a free
 //! pool that subsequent passes draw from, so steady-state forward passes
-//! allocate nothing. Parameters live outside the graph in a
+//! allocate next to nothing and a steady-state backward pass allocates
+//! nothing at all. Parameters live outside the graph in a
 //! [`ParamStore`](crate::ParamStore) and are inserted as leaves that remember
 //! their [`ParamId`](crate::ParamId) so gradients can be written back.
 //!
@@ -20,10 +21,26 @@
 //! `transpose()` copies. The product ops skip the gradient of an operand
 //! that requires none, such as the constant DGF propagation stack.
 //!
-//! Gradient buffers are **lazy**: nodes are pushed without them and
-//! [`Graph::backward`] materializes the tape prefix's gradients (pooled,
-//! zero-filled) before walking, so forward-only passes — batched prediction
-//! sweeps — never allocate or zero a single gradient buffer.
+//! Gradients are **first-touch**: nodes are pushed without gradient
+//! storage, and a node's gradient stays empty until the backward walk
+//! delivers its first contribution, which *becomes* the gradient (as
+//! `x + 0.0` per element — the bits of adding it onto zeros); later
+//! contributions accumulate onto it in walk order. Every contribution is a
+//! pooled temporary that either moves into the operand's gradient or goes
+//! back to the pool, so the walk neither zero-fills nor clones a buffer.
+//! After the walk, gradient-requiring nodes that the root never reached get
+//! pooled zeros, so [`Graph::grad`] reads exactly what accumulating onto
+//! zero-filled buffers would give. Forward-only passes — batched prediction
+//! sweeps — never touch a gradient buffer.
+//!
+//! The pool is **best-fit**: free buffers are filed by capacity, and an
+//! allocation takes the most recently freed buffer of the smallest
+//! capacity that fits. Small requests therefore never take (and large ones
+//! never grow) a buffer another shape on the tape needs, and passes of
+//! alternating shapes — a 16-architecture batch, then a 4-architecture
+//! one — find their buffers wherever the previous pass left them.
+
+use std::collections::BTreeMap;
 
 use crate::kernels;
 use crate::params::{ParamId, ParamStore};
@@ -51,7 +68,7 @@ enum Op {
     Tanh(Var),
     Relu(Var),
     LeakyRelu(Var, f32),
-    SoftmaxRowsMasked(Var, Option<Tensor>),
+    SoftmaxRowsMasked(Var, Option<Var>),
     LayerNormRows { x: Var, gamma: Var, beta: Var },
     ConcatCols(Var, Var),
     SliceRows(Var, usize, usize),
@@ -66,6 +83,7 @@ enum Op {
 
 struct Node {
     value: Tensor,
+    /// Empty until the backward walk's first contribution arrives.
     grad: Tensor,
     op: Op,
     requires_grad: bool,
@@ -75,13 +93,89 @@ struct Node {
     aux: Vec<Tensor>,
 }
 
+/// Recycled `f32` buffers, filed by capacity: [`Graph::clear`] refills
+/// it, ops, gradients and backward temporaries draw from it, and
+/// temporaries go back to it.
+#[derive(Default)]
+struct Pool {
+    /// Free buffers by capacity; each class is a stack, most recently freed
+    /// on top.
+    classes: BTreeMap<usize, Vec<Vec<f32>>>,
+    /// Free buffers across all classes.
+    len: usize,
+}
+
+impl Pool {
+    /// An empty buffer with capacity for `len` values: best fit — the most
+    /// recently freed buffer of the smallest capacity that fits — else a
+    /// new one.
+    fn take(&mut self, len: usize) -> Vec<f32> {
+        let hit = self
+            .classes
+            .range_mut(len..)
+            .find_map(|(_, stack)| stack.pop());
+        match hit {
+            Some(mut buf) => {
+                self.len -= 1;
+                buf.clear();
+                buf
+            }
+            None => Vec::with_capacity(len),
+        }
+    }
+
+    /// A pooled zeros tensor.
+    fn zeros(&mut self, rows: usize, cols: usize) -> Tensor {
+        let mut buf = self.take(rows * cols);
+        buf.resize(rows * cols, 0.0);
+        Tensor::from_vec(rows, cols, buf)
+    }
+
+    /// A pooled `rows×cols` tensor holding `values` in row-major order.
+    fn filled(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        values: impl IntoIterator<Item = f32>,
+    ) -> Tensor {
+        let mut buf = self.take(rows * cols);
+        buf.extend(values);
+        Tensor::from_vec(rows, cols, buf)
+    }
+
+    /// Files a buffer under its capacity.
+    fn give(&mut self, buf: Vec<f32>) {
+        self.classes.entry(buf.capacity()).or_default().push(buf);
+        self.len += 1;
+    }
+
+    /// Returns a tensor's buffer to the pool.
+    fn put(&mut self, t: Tensor) {
+        self.give(t.into_vec());
+    }
+
+    /// Drops buffers, largest capacity first, until at most `max` remain.
+    fn trim(&mut self, max: usize) {
+        while self.len > max {
+            let Some(mut class) = self.classes.last_entry() else {
+                break;
+            };
+            let stack = class.get_mut();
+            let cut = (self.len - max).min(stack.len());
+            stack.truncate(stack.len() - cut);
+            self.len -= cut;
+            if stack.is_empty() {
+                class.remove();
+            }
+        }
+    }
+}
+
 /// A reverse-mode autodiff tape with a reusable buffer arena.
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
-    /// Recycled `f32` buffers from cleared passes; [`Graph::clear`] refills
-    /// it, the private allocators below drain it.
-    free: Vec<Vec<f32>>,
+    pool: Pool,
 }
 
 impl Graph {
@@ -89,7 +183,7 @@ impl Graph {
     pub fn new() -> Self {
         Graph {
             nodes: Vec::with_capacity(256),
-            free: Vec::new(),
+            pool: Pool::default(),
         }
     }
 
@@ -104,57 +198,45 @@ impl Graph {
     }
 
     /// Resets the tape for the next forward pass while retaining capacity:
-    /// the node vector keeps its allocation and every node's value, gradient,
-    /// aux, and mask buffer is recycled into the arena, so a cleared graph
-    /// re-runs a same-shaped forward pass with (at most) a bounded handful
-    /// of fresh allocations — pooled ops, gradients, and parameter leaves
-    /// all draw from the arena.
+    /// the node vector keeps its allocation and every buffer the pass took
+    /// from the arena — op values, parameter copies, gradients, aux — goes
+    /// back to it, so a cleared graph re-runs a same-shaped forward pass
+    /// with (at most) a bounded handful of fresh allocations and its
+    /// backward pass with none.
     ///
-    /// The arena is capped relative to the pass that was just cleared: a
-    /// pass also *donates* buffers it allocated outside the pool (constants
-    /// such as propagation matrices, attention-mask clones), and without a
-    /// cap those would accumulate across thousands of session queries.
-    /// Surplus buffers are dropped here instead.
+    /// Constants and plain leaves hold buffers their caller allocated
+    /// (propagation matrices, node features); those are dropped here rather
+    /// than pooled, so the arena holds only what passes draw from it. It is
+    /// also capped relative to the pass just cleared, largest buffers
+    /// dropped first, so a long run of ever-changing shapes cannot grow it
+    /// without bound.
     ///
     /// A cleared graph is indistinguishable from a fresh one — recycled
-    /// buffers are re-zeroed on reuse, so outputs are bit-identical to
+    /// buffers are overwritten on reuse, so outputs are bit-identical to
     /// building each pass on `Graph::new()`.
     pub fn clear(&mut self) {
         let nodes = self.nodes.len();
         for node in self.nodes.drain(..) {
-            self.free.push(node.value.into_vec());
+            if node.param.is_some() || !matches!(node.op, Op::Leaf) {
+                self.pool.give(node.value.into_vec());
+            }
             let grad = node.grad.into_vec();
             if !grad.is_empty() {
-                self.free.push(grad);
+                self.pool.give(grad);
             }
             for aux in node.aux {
-                self.free.push(aux.into_vec());
-            }
-            if let Op::SoftmaxRowsMasked(_, Some(mask)) = node.op {
-                self.free.push(mask.into_vec());
+                self.pool.put(aux);
             }
         }
-        // One pass pops at most value + grad + aux buffers per node
-        // (< 4 per node); anything beyond that bound can never be reused.
-        self.free.truncate(4 * nodes + 16);
-    }
-
-    /// A zero-filled buffer of `len`, recycled from the arena when possible.
-    fn take_buf(&mut self, len: usize) -> Vec<f32> {
-        match self.free.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf.resize(len, 0.0);
-                buf
-            }
-            None => vec![0.0; len],
-        }
+        // One pass takes fewer than 4 buffers per node (value, gradient,
+        // aux); room for two passes' worth lets alternating shapes — a full
+        // batch and a remainder batch — both keep theirs.
+        self.pool.trim(8 * nodes + 16);
     }
 
     /// A pooled zeros tensor.
     fn zeros(&mut self, rows: usize, cols: usize) -> Tensor {
-        let buf = self.take_buf(rows * cols);
-        Tensor::from_vec(rows, cols, buf)
+        self.pool.zeros(rows, cols)
     }
 
     fn push(&mut self, value: Tensor, op: Op, requires_grad: bool) -> Var {
@@ -162,9 +244,9 @@ impl Graph {
     }
 
     fn push_aux(&mut self, value: Tensor, op: Op, requires_grad: bool, aux: Vec<Tensor>) -> Var {
-        // Gradient buffers are *lazy*: forward-only passes (batched
-        // prediction sweeps) never pay for allocating or zeroing them —
-        // `backward` materializes every tape-prefix gradient before walking.
+        // Gradients are first-touch: forward-only passes (batched
+        // prediction sweeps) never pay for them, and `backward` gives a node
+        // storage only when its first contribution arrives.
         self.nodes.push(Node {
             value,
             grad: Tensor::zeros(0, 0),
@@ -196,13 +278,7 @@ impl Graph {
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
         let src = store.value(id);
         let (rows, cols) = src.shape();
-        let mut buf = match self.free.pop() {
-            Some(mut b) => {
-                b.clear();
-                b
-            }
-            None => Vec::with_capacity(rows * cols),
-        };
+        let mut buf = self.pool.take(rows * cols);
         buf.extend_from_slice(src.data());
         let v = self.push(Tensor::from_vec(rows, cols, buf), Op::Leaf, true);
         self.nodes[v.0].param = Some(id);
@@ -214,10 +290,11 @@ impl Graph {
         &self.nodes[v.0].value
     }
 
-    /// Gradient of a node. Gradient storage is materialized by
-    /// [`Graph::backward`] for gradient-requiring nodes; before it runs —
-    /// or for constants and nodes pushed after the backward root — this is
-    /// an empty `0×0` tensor.
+    /// Gradient of a node. After [`Graph::backward`], every
+    /// gradient-requiring node up to the root holds its accumulated
+    /// gradient, or zeros of its value's shape if the root never reached
+    /// it. Before backward runs — and for constants and nodes pushed after
+    /// the backward root — this is an empty `0×0` tensor.
     pub fn grad(&self, v: Var) -> &Tensor {
         &self.nodes[v.0].grad
     }
@@ -307,7 +384,7 @@ impl Graph {
             "block_matmul_nt shape mismatch"
         );
         assert_eq!(ra % block, 0, "rows must be a multiple of the block size");
-        let mut scratch = self.take_buf(k * block);
+        let mut scratch = self.pool.zeros(k, block);
         let mut v = self.zeros(ra, block);
         {
             let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
@@ -316,7 +393,7 @@ impl Graph {
                 // b_iᵀ, laid out exactly like the per-query transpose node.
                 for i in 0..block {
                     for j in 0..k {
-                        scratch[j * block + i] = tb.get(off + i, j);
+                        scratch.set(j, i, tb.get(off + i, j));
                     }
                 }
                 kernels::matmul(
@@ -324,12 +401,12 @@ impl Graph {
                     k,
                     block,
                     &ta.data()[off * k..(off + block) * k],
-                    &scratch,
+                    scratch.data(),
                     &mut v.data_mut()[off * block..(off + block) * block],
                 );
             }
         }
-        self.free.push(scratch);
+        self.pool.put(scratch);
         let rg = self.rg(a) || self.rg(b);
         self.push(v, Op::BlockMatMulNt(a, b, block), rg)
     }
@@ -468,38 +545,47 @@ impl Graph {
         self.push(v, Op::LeakyRelu(a, slope), rg)
     }
 
-    /// Row-wise softmax. With `mask`, entries where `mask == 0` receive zero
-    /// probability; an all-masked row becomes all zeros (no NaNs).
-    pub fn softmax_rows_masked(&mut self, a: Var, mask: Option<Tensor>) -> Var {
+    /// Row-wise softmax. With `mask` (a node of the same shape, typically a
+    /// constant already on the tape), entries where `mask == 0` receive
+    /// zero probability; an all-masked row becomes all zeros (no NaNs). No
+    /// gradient flows into the mask.
+    pub fn softmax_rows_masked(&mut self, a: Var, mask: Option<Var>) -> Var {
         let (r, c) = self.nodes[a.0].value.shape();
-        if let Some(m) = &mask {
-            assert_eq!(m.shape(), (r, c), "softmax mask shape mismatch");
+        if let Some(m) = mask {
+            assert_eq!(
+                self.nodes[m.0].value.shape(),
+                (r, c),
+                "softmax mask shape mismatch"
+            );
         }
         let mut v = self.zeros(r, c);
         {
             let ta = &self.nodes[a.0].value;
+            let tm = mask.map(|m| &self.nodes[m.0].value);
             for row in 0..r {
-                let allowed = |col: usize| mask.as_ref().is_none_or(|m| m.get(row, col) != 0.0);
+                let (xr, vr) = (ta.row(row), v.row_mut(row));
+                let mr = tm.map(|m| m.row(row));
+                let allowed = |col: usize| mr.is_none_or(|m| m[col] != 0.0);
                 let mut maxv = f32::NEG_INFINITY;
-                for col in 0..c {
+                for (col, &x) in xr.iter().enumerate() {
                     if allowed(col) {
-                        maxv = maxv.max(ta.get(row, col));
+                        maxv = maxv.max(x);
                     }
                 }
                 if !maxv.is_finite() {
                     continue; // fully masked row stays zero
                 }
                 let mut sum = 0.0;
-                for col in 0..c {
+                for (col, (&x, o)) in xr.iter().zip(vr.iter_mut()).enumerate() {
                     if allowed(col) {
-                        let e = (ta.get(row, col) - maxv).exp();
-                        v.set(row, col, e);
+                        let e = (x - maxv).exp();
+                        *o = e;
                         sum += e;
                     }
                 }
                 if sum > 0.0 {
-                    for col in 0..c {
-                        v.set(row, col, v.get(row, col) / sum);
+                    for o in vr.iter_mut() {
+                        *o /= sum;
                     }
                 }
             }
@@ -524,18 +610,25 @@ impl Graph {
         let mut out = self.zeros(r, c);
         {
             let tx = &self.nodes[x.0].value;
-            let tg = &self.nodes[gamma.0].value;
-            let tb = &self.nodes[beta.0].value;
+            let (tg, tb) = (
+                self.nodes[gamma.0].value.data(),
+                self.nodes[beta.0].value.data(),
+            );
             for i in 0..r {
                 let row = tx.row(i);
                 let mu = row.iter().sum::<f32>() / c as f32;
                 let var = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f32>() / c as f32;
                 let is = 1.0 / (var + EPS).sqrt();
-                inv_std.set(i, 0, is);
-                for (j, &rv) in row.iter().enumerate() {
+                inv_std.data_mut()[i] = is;
+                let (xr, or) = (xhat.row_mut(i), out.row_mut(i));
+                for ((&rv, (xh_out, o)), (&gv, &bv)) in row
+                    .iter()
+                    .zip(xr.iter_mut().zip(or.iter_mut()))
+                    .zip(tg.iter().zip(tb))
+                {
                     let xh = (rv - mu) * is;
-                    xhat.set(i, j, xh);
-                    out.set(i, j, xh * tg.get(0, j) + tb.get(0, j));
+                    *xh_out = xh;
+                    *o = xh * gv + bv;
                 }
             }
         }
@@ -634,9 +727,10 @@ impl Graph {
         let mut v = self.zeros(1, c);
         {
             let ta = &self.nodes[a.0].value;
+            let out = v.data_mut();
             for i in 0..r {
-                for j in 0..c {
-                    v.set(0, j, v.get(0, j) + ta.get(i, j) / r as f32);
+                for (o, &x) in out.iter_mut().zip(ta.row(i)) {
+                    *o += x / r as f32;
                 }
             }
         }
@@ -666,15 +760,19 @@ impl Graph {
             r,
             "block_mean_rows sizes must sum to the row count"
         );
+        assert!(
+            sizes.iter().all(|&n| n > 0),
+            "block_mean_rows zero-row block"
+        );
         let mut v = self.zeros(sizes.len(), c);
         {
             let ta = &self.nodes[a.0].value;
             let mut off = 0usize;
             for (b, &n) in sizes.iter().enumerate() {
-                assert!(n > 0, "block_mean_rows zero-row block");
-                for i in 0..n {
-                    for j in 0..c {
-                        v.set(b, j, v.get(b, j) + ta.get(off + i, j) / n as f32);
+                let out = v.row_mut(b);
+                for i in off..off + n {
+                    for (o, &x) in out.iter_mut().zip(ta.row(i)) {
+                        *o += x / n as f32;
                     }
                 }
                 off += n;
@@ -717,42 +815,60 @@ impl Graph {
 
     /// Runs reverse-mode differentiation from `root`, which must be `1×1`.
     ///
-    /// Gradients accumulate in the tape; call [`Graph::write_grads`] to move
-    /// parameter gradients into the store.
+    /// Gradients are first-touch (see the module docs): a node gets
+    /// gradient storage when its first contribution arrives, the walk skips
+    /// nodes whose gradient is empty or all zeros, and afterwards every
+    /// gradient-requiring node up to `root` that received nothing holds
+    /// zeros of its value's shape. Gradients, temporaries and transpose
+    /// scratch all come from the tape's pool, so on a warmed-up tape
+    /// backward allocates nothing. Gradients accumulate in the tape; call
+    /// [`Graph::write_grads`] to move parameter gradients into the store.
     pub fn backward(&mut self, root: Var) {
         assert_eq!(
             self.nodes[root.0].value.shape(),
             (1, 1),
             "backward root must be a scalar"
         );
-        // Materialize the lazy gradient buffers for the tape prefix (pooled,
-        // zero-filled) — push defers them so forward-only passes skip the
-        // allocation and zeroing entirely. Constants stay empty: the walk
-        // skips them, accum is requires_grad-guarded, and zeroing the tape's
-        // largest buffers (propagation matrices, masks) every training step
-        // would be pure waste.
+        if self.nodes[root.0].grad.is_empty() {
+            let one = self.pool.filled(1, 1, [1.0]);
+            self.nodes[root.0].grad = one;
+        } else {
+            self.nodes[root.0].grad.data_mut()[0] = 1.0;
+        }
+        for i in (0..=root.0).rev() {
+            let node = &self.nodes[i];
+            if node.requires_grad && node.grad.data().iter().any(|&g| g != 0.0) {
+                self.backprop_node(i);
+            }
+        }
         for i in 0..=root.0 {
-            if self.nodes[i].requires_grad && self.nodes[i].grad.is_empty() {
-                let (r, c) = self.nodes[i].value.shape();
-                let zeros = self.zeros(r, c);
+            let node = &self.nodes[i];
+            if node.requires_grad && node.grad.is_empty() {
+                let (r, c) = node.value.shape();
+                let zeros = self.pool.zeros(r, c);
                 self.nodes[i].grad = zeros;
             }
         }
-        self.nodes[root.0].grad = Tensor::scalar(1.0);
-        for i in (0..=root.0).rev() {
-            if !self.nodes[i].requires_grad {
-                continue;
-            }
-            if self.nodes[i].grad.data().iter().all(|&g| g == 0.0) {
-                continue;
-            }
-            self.backprop_node(i);
-        }
     }
 
-    fn accum(&mut self, v: Var, delta: &Tensor) {
-        if self.nodes[v.0].requires_grad {
-            self.nodes[v.0].grad.axpy(1.0, delta);
+    /// Adds the pooled contribution `delta` into `v`'s gradient. On first
+    /// touch it *becomes* the gradient, as `x + 0.0` per element — the bits
+    /// of accumulating onto zeros, `-0.0` included; otherwise it
+    /// accumulates and its buffer goes back to the pool.
+    fn accum(&mut self, v: Var, mut delta: Tensor) {
+        let node = &mut self.nodes[v.0];
+        if !node.requires_grad {
+            self.pool.put(delta);
+        } else if node.grad.is_empty() {
+            assert_eq!(delta.shape(), node.value.shape(), "gradient shape mismatch");
+            for x in delta.data_mut() {
+                // `x + 0.0` is not an identity: it turns `-0.0` into `+0.0`.
+                *x += 0.0;
+            }
+            node.grad = delta;
+        } else {
+            node.grad.axpy(1.0, &delta);
+            self.pool.put(delta);
         }
     }
 
@@ -760,15 +876,36 @@ impl Graph {
     /// requires one (`None` otherwise).
     fn accum_some(&mut self, v: Var, delta: Option<Tensor>) {
         if let Some(delta) = delta {
-            self.accum(v, &delta);
+            self.accum(v, delta);
+        }
+    }
+
+    /// [`Graph::accum`] for a contribution the caller keeps (a gradient
+    /// passed through unchanged): a first touch copies it into a pooled
+    /// buffer.
+    fn accum_ref(&mut self, v: Var, delta: &Tensor) {
+        let node = &mut self.nodes[v.0];
+        if !node.requires_grad {
+            return;
+        }
+        if node.grad.is_empty() {
+            let (r, c) = delta.shape();
+            assert_eq!((r, c), node.value.shape(), "gradient shape mismatch");
+            node.grad = self
+                .pool
+                .filled(r, c, delta.data().iter().map(|&x| x + 0.0));
+        } else {
+            node.grad.axpy(1.0, delta);
         }
     }
 
     fn backprop_node(&mut self, i: usize) {
-        let g = self.nodes[i].grad.clone();
-        // Temporarily take the op out (restored below) instead of deep-cloning
-        // it: softmax masks and gather index lists stay in place.
+        // Take the gradient and the op out (both restored below) instead of
+        // cloning them: the gradient, softmax masks and index lists stay in
+        // place.
+        let g = std::mem::replace(&mut self.nodes[i].grad, Tensor::zeros(0, 0));
         let op = std::mem::replace(&mut self.nodes[i].op, Op::Leaf);
+        let (gr, gc) = g.shape();
         match &op {
             Op::Leaf => {}
             &Op::BlockMatMul(a, b, block) => {
@@ -776,13 +913,15 @@ impl Graph {
                 // transposed fast paths as `MatMul`, block by block. An
                 // operand that needs no gradient (the DGF propagation stack
                 // is a constant) gets none computed.
-                let (da, db) = {
+                let (ra, ca) = self.nodes[a.0].value.shape();
+                let c = gc;
+                let mut da = self.rg(a).then(|| self.pool.zeros(ra, ca));
+                let mut db = self.rg(b).then(|| self.pool.zeros(gr, c));
+                let mut scratch = self.pool.take(c * block);
+                {
                     let ta = &self.nodes[a.0].value;
                     let tb = &self.nodes[b.0].value;
-                    let c = tb.cols();
-                    let mut da = self.rg(a).then(|| Tensor::zeros(ta.rows(), ta.cols()));
-                    let mut db = self.rg(b).then(|| Tensor::zeros(tb.rows(), tb.cols()));
-                    for blk in 0..ta.rows() / block {
+                    for blk in 0..ra / block {
                         let off = blk * block;
                         if let Some(da) = &mut da {
                             kernels::matmul_nt(
@@ -792,6 +931,7 @@ impl Graph {
                                 &g.data()[off * c..(off + block) * c],
                                 &tb.data()[off * c..(off + block) * c],
                                 &mut da.data_mut()[off * block..(off + block) * block],
+                                &mut scratch,
                             );
                         }
                         if let Some(db) = &mut db {
@@ -805,21 +945,21 @@ impl Graph {
                             );
                         }
                     }
-                    (da, db)
-                };
+                }
+                self.pool.give(scratch);
                 self.accum_some(a, da);
                 self.accum_some(b, db);
             }
             &Op::BlockMatMulNt(a, b, block) => {
                 // Per block (logits L_i = A_i·B_iᵀ): dA_i = g_i·B_i,
                 // dB_i = g_iᵀ·A_i.
-                let (da, db) = {
+                let (ra, k) = self.nodes[a.0].value.shape();
+                let mut da = self.rg(a).then(|| self.pool.zeros(ra, k));
+                let mut db = self.rg(b).then(|| self.pool.zeros(ra, k));
+                {
                     let ta = &self.nodes[a.0].value;
                     let tb = &self.nodes[b.0].value;
-                    let k = ta.cols();
-                    let mut da = self.rg(a).then(|| Tensor::zeros(ta.rows(), k));
-                    let mut db = self.rg(b).then(|| Tensor::zeros(tb.rows(), k));
-                    for blk in 0..ta.rows() / block {
+                    for blk in 0..ra / block {
                         let off = blk * block;
                         if let Some(da) = &mut da {
                             kernels::matmul(
@@ -842,236 +982,250 @@ impl Graph {
                             );
                         }
                     }
-                    (da, db)
-                };
+                }
                 self.accum_some(a, da);
                 self.accum_some(b, db);
             }
             &Op::MatMul(a, b) => {
                 // Transposed fast paths: dA = g·Bᵀ, dB = Aᵀ·g — bit-identical
                 // to the former transpose()-then-matmul, without the copies.
-                let da = self.rg(a).then(|| g.matmul_nt(&self.nodes[b.0].value));
-                let db = self.rg(b).then(|| self.nodes[a.0].value.matmul_tn(&g));
+                let (m, k) = self.nodes[a.0].value.shape();
+                let mut da = self.rg(a).then(|| self.pool.zeros(m, k));
+                let mut db = self.rg(b).then(|| self.pool.zeros(k, gc));
+                if let Some(da) = &mut da {
+                    let mut scratch = self.pool.take(k * gc);
+                    let tb = self.nodes[b.0].value.data();
+                    kernels::matmul_nt(m, gc, k, g.data(), tb, da.data_mut(), &mut scratch);
+                    self.pool.give(scratch);
+                }
+                if let Some(db) = &mut db {
+                    let ta = self.nodes[a.0].value.data();
+                    kernels::matmul_tn(m, k, gc, ta, g.data(), db.data_mut());
+                }
                 self.accum_some(a, da);
                 self.accum_some(b, db);
             }
             &Op::Add(a, b) => {
-                self.accum(a, &g);
-                self.accum(b, &g);
+                self.accum_ref(a, &g);
+                self.accum_ref(b, &g);
             }
             &Op::Sub(a, b) => {
-                self.accum(a, &g);
-                let neg = g.map(|x| -x);
-                self.accum(b, &neg);
+                self.accum_ref(a, &g);
+                if self.rg(b) {
+                    let neg = self.pool.filled(gr, gc, g.data().iter().map(|&x| -x));
+                    self.accum(b, neg);
+                }
             }
             &Op::MulElem(a, b) => {
-                let da = self.rg(a).then(|| elem_mul(&g, &self.nodes[b.0].value));
-                let db = self.rg(b).then(|| elem_mul(&g, &self.nodes[a.0].value));
+                // g ⊙ other, in that operand order.
+                let da = self.rg(a).then(|| {
+                    let tb = self.nodes[b.0].value.data();
+                    let prod = g.data().iter().zip(tb).map(|(&x, &y)| x * y);
+                    self.pool.filled(gr, gc, prod)
+                });
+                let db = self.rg(b).then(|| {
+                    let ta = self.nodes[a.0].value.data();
+                    let prod = g.data().iter().zip(ta).map(|(&x, &y)| x * y);
+                    self.pool.filled(gr, gc, prod)
+                });
                 self.accum_some(a, da);
                 self.accum_some(b, db);
             }
             &Op::AddRowBroadcast(a, b) => {
-                self.accum(a, &g);
-                let db = col_sums(&g);
-                self.accum(b, &db);
+                self.accum_ref(a, &g);
+                if self.rg(b) {
+                    let db = col_sums(&mut self.pool, &g);
+                    self.accum(b, db);
+                }
             }
             &Op::MulRowBroadcast(a, b) => {
-                let (da, db) = {
-                    let va = &self.nodes[a.0].value;
-                    let vb = &self.nodes[b.0].value;
-                    let mut da = g.clone();
-                    for r in 0..da.rows() {
-                        kernels::mul(g.row(r), vb.row(0), da.row_mut(r));
+                let da = self.rg(a).then(|| {
+                    let vb = self.nodes[b.0].value.data();
+                    let mut da = self.pool.take(gr * gc);
+                    for r in 0..gr {
+                        da.extend(g.row(r).iter().zip(vb).map(|(&x, &y)| x * y));
                     }
-                    let mut db = Tensor::zeros(1, vb.cols());
-                    for r in 0..g.rows() {
-                        for c in 0..g.cols() {
-                            db.set(0, c, db.get(0, c) + g.get(r, c) * va.get(r, c));
+                    Tensor::from_vec(gr, gc, da)
+                });
+                let db = self.rg(b).then(|| {
+                    let va = &self.nodes[a.0].value;
+                    let mut db = self.pool.zeros(1, gc);
+                    for r in 0..gr {
+                        let terms = g.row(r).iter().zip(va.row(r));
+                        for (d, (&gv, &av)) in db.data_mut().iter_mut().zip(terms) {
+                            *d += gv * av;
                         }
                     }
-                    (da, db)
-                };
-                self.accum(a, &da);
-                self.accum(b, &db);
+                    db
+                });
+                self.accum_some(a, da);
+                self.accum_some(b, db);
             }
             &Op::Scale(a, s) => {
-                let da = g.map(|x| x * s);
-                self.accum(a, &da);
+                let da = self.pool.filled(gr, gc, g.data().iter().map(|&x| x * s));
+                self.accum(a, da);
             }
-            &Op::AddScalar(a, _) => self.accum(a, &g),
+            &Op::AddScalar(a, _) => self.accum_ref(a, &g),
             &Op::Sigmoid(a) => {
-                let mut da = g.clone();
-                for (d, &yv) in da.data_mut().iter_mut().zip(self.nodes[i].value.data()) {
-                    *d *= yv * (1.0 - yv);
-                }
-                self.accum(a, &da);
+                let y = self.nodes[i].value.data();
+                let terms = g.data().iter().zip(y);
+                let da = self
+                    .pool
+                    .filled(gr, gc, terms.map(|(&d, &yv)| d * (yv * (1.0 - yv))));
+                self.accum(a, da);
             }
             &Op::Tanh(a) => {
-                let mut da = g.clone();
-                for (d, &yv) in da.data_mut().iter_mut().zip(self.nodes[i].value.data()) {
-                    *d *= 1.0 - yv * yv;
-                }
-                self.accum(a, &da);
+                let y = self.nodes[i].value.data();
+                let terms = g.data().iter().zip(y);
+                let da = self
+                    .pool
+                    .filled(gr, gc, terms.map(|(&d, &yv)| d * (1.0 - yv * yv)));
+                self.accum(a, da);
             }
             &Op::Relu(a) => {
-                let mut da = g.clone();
-                for (d, &xv) in da.data_mut().iter_mut().zip(self.nodes[a.0].value.data()) {
-                    if xv <= 0.0 {
-                        *d = 0.0;
-                    }
-                }
-                self.accum(a, &da);
+                let x = self.nodes[a.0].value.data();
+                let terms = g.data().iter().zip(x);
+                let da = self.pool.filled(
+                    gr,
+                    gc,
+                    terms.map(|(&d, &xv)| if xv <= 0.0 { 0.0 } else { d }),
+                );
+                self.accum(a, da);
             }
             &Op::LeakyRelu(a, slope) => {
-                let mut da = g.clone();
-                for (d, &xv) in da.data_mut().iter_mut().zip(self.nodes[a.0].value.data()) {
-                    if xv <= 0.0 {
-                        *d *= slope;
+                let x = self.nodes[a.0].value.data();
+                let terms = g.data().iter().zip(x);
+                let da = self.pool.filled(
+                    gr,
+                    gc,
+                    terms.map(|(&d, &xv)| if xv <= 0.0 { d * slope } else { d }),
+                );
+                self.accum(a, da);
+            }
+            &Op::SoftmaxRowsMasked(a, _) => {
+                let mut da = self.pool.take(gr * gc);
+                {
+                    let y = &self.nodes[i].value;
+                    for row in 0..gr {
+                        let (grow, yrow) = (g.row(row), y.row(row));
+                        let mut dot = 0.0;
+                        for (&gv, &yv) in grow.iter().zip(yrow) {
+                            dot += gv * yv;
+                        }
+                        da.extend(grow.iter().zip(yrow).map(|(&gv, &yv)| yv * (gv - dot)));
                     }
                 }
-                self.accum(a, &da);
-            }
-            Op::SoftmaxRowsMasked(a, _mask) => {
-                let a = *a;
-                let da = {
-                    let y = &self.nodes[i].value;
-                    let (r, c) = y.shape();
-                    let mut da = Tensor::zeros(r, c);
-                    for row in 0..r {
-                        let mut dot = 0.0;
-                        for col in 0..c {
-                            dot += g.get(row, col) * y.get(row, col);
-                        }
-                        for col in 0..c {
-                            let yv = y.get(row, col);
-                            da.set(row, col, yv * (g.get(row, col) - dot));
-                        }
-                    }
-                    da
-                };
-                self.accum(a, &da);
+                self.accum(a, Tensor::from_vec(gr, gc, da));
             }
             &Op::LayerNormRows { x, gamma, beta } => {
-                let (dgamma, dbeta, dx) = {
-                    let xhat = &self.nodes[i].aux[0];
-                    let inv_std = &self.nodes[i].aux[1];
-                    let tg = &self.nodes[gamma.0].value;
-                    let (r, c) = xhat.shape();
-                    let mut dgamma = Tensor::zeros(1, c);
-                    let mut dbeta = Tensor::zeros(1, c);
-                    for row in 0..r {
-                        for col in 0..c {
-                            dgamma.set(
-                                0,
-                                col,
-                                dgamma.get(0, col) + g.get(row, col) * xhat.get(row, col),
-                            );
-                            dbeta.set(0, col, dbeta.get(0, col) + g.get(row, col));
+                let c = gc;
+                let mut dgamma = self.pool.zeros(1, c);
+                let mut dbeta = self.pool.zeros(1, c);
+                let mut dx = self.pool.take(gr * c);
+                {
+                    let (xhat, inv_std) = (&self.nodes[i].aux[0], &self.nodes[i].aux[1]);
+                    let tg = self.nodes[gamma.0].value.data();
+                    for row in 0..gr {
+                        let (grow, xrow) = (g.row(row), xhat.row(row));
+                        let sums = dgamma.data_mut().iter_mut().zip(dbeta.data_mut());
+                        for ((dg, db), (&gv, &xh)) in sums.zip(grow.iter().zip(xrow)) {
+                            *dg += gv * xh;
+                            *db += gv;
                         }
-                    }
-                    let mut dx = Tensor::zeros(r, c);
-                    for row in 0..r {
-                        let is = inv_std.get(row, 0);
+                        let is = inv_std.data()[row];
                         let mut mean_dxhat = 0.0;
                         let mut mean_dxhat_xhat = 0.0;
-                        for col in 0..c {
-                            let dxh = g.get(row, col) * tg.get(0, col);
+                        for ((&gv, &tgv), &xh) in grow.iter().zip(tg).zip(xrow) {
+                            let dxh = gv * tgv;
                             mean_dxhat += dxh;
-                            mean_dxhat_xhat += dxh * xhat.get(row, col);
+                            mean_dxhat_xhat += dxh * xh;
                         }
                         mean_dxhat /= c as f32;
                         mean_dxhat_xhat /= c as f32;
-                        for col in 0..c {
-                            let dxh = g.get(row, col) * tg.get(0, col);
-                            let v = is * (dxh - mean_dxhat - xhat.get(row, col) * mean_dxhat_xhat);
-                            dx.set(row, col, v);
-                        }
+                        dx.extend(grow.iter().zip(tg).zip(xrow).map(|((&gv, &tgv), &xh)| {
+                            let dxh = gv * tgv;
+                            is * (dxh - mean_dxhat - xh * mean_dxhat_xhat)
+                        }));
                     }
-                    (dgamma, dbeta, dx)
-                };
-                self.accum(gamma, &dgamma);
-                self.accum(beta, &dbeta);
-                self.accum(x, &dx);
+                }
+                self.accum(gamma, dgamma);
+                self.accum(beta, dbeta);
+                self.accum(x, Tensor::from_vec(gr, c, dx));
             }
             &Op::ConcatCols(a, b) => {
                 let ca = self.nodes[a.0].value.cols();
-                let cb = self.nodes[b.0].value.cols();
-                let r = g.rows();
-                let mut da = Tensor::zeros(r, ca);
-                let mut db = Tensor::zeros(r, cb);
-                for row in 0..r {
-                    da.row_mut(row).copy_from_slice(&g.row(row)[..ca]);
-                    db.row_mut(row).copy_from_slice(&g.row(row)[ca..]);
+                for (v, cols) in [(a, 0..ca), (b, ca..gc)] {
+                    if self.rg(v) {
+                        let mut dv = self.pool.take(gr * cols.len());
+                        for row in 0..gr {
+                            dv.extend_from_slice(&g.row(row)[cols.clone()]);
+                        }
+                        self.accum(v, Tensor::from_vec(gr, cols.len(), dv));
+                    }
                 }
-                self.accum(a, &da);
-                self.accum(b, &db);
             }
             Op::BlockMeanRows(a, sizes) => {
-                let a = *a;
                 let (r, c) = self.nodes[a.0].value.shape();
-                let mut da = Tensor::zeros(r, c);
-                let mut off = 0usize;
+                let mut da = self.pool.take(r * c);
                 for (b, &n) in sizes.iter().enumerate() {
-                    for i in 0..n {
-                        for j in 0..c {
-                            da.set(off + i, j, g.get(b, j) / n as f32);
-                        }
+                    for _ in 0..n {
+                        da.extend(g.row(b).iter().map(|&gv| gv / n as f32));
                     }
-                    off += n;
                 }
-                self.accum(a, &da);
+                self.accum(*a, Tensor::from_vec(r, c, da));
             }
-            &Op::SliceRows(a, start, len) => {
-                let ta_shape = self.nodes[a.0].value.shape();
-                let mut da = Tensor::zeros(ta_shape.0, ta_shape.1);
-                for i2 in 0..len {
-                    da.row_mut(start + i2).copy_from_slice(g.row(i2));
-                }
-                self.accum(a, &da);
+            &Op::SliceRows(a, start, _) => {
+                let (r, c) = self.nodes[a.0].value.shape();
+                let mut da = self.pool.zeros(r, c);
+                da.data_mut()[start * c..(start + gr) * c].copy_from_slice(g.data());
+                self.accum(a, da);
             }
             &Op::Transpose(a) => {
-                let da = g.transpose();
-                self.accum(a, &da);
+                let mut da = self.pool.zeros(gc, gr);
+                for r in 0..gr {
+                    for (c, &v) in g.row(r).iter().enumerate() {
+                        da.set(c, r, v);
+                    }
+                }
+                self.accum(a, da);
             }
             Op::Gather(a, indices) => {
-                let a = *a;
-                let ta_shape = self.nodes[a.0].value.shape();
-                let mut da = Tensor::zeros(ta_shape.0, ta_shape.1);
+                let (r, c) = self.nodes[a.0].value.shape();
+                let mut da = self.pool.zeros(r, c);
                 for (row, &ix) in indices.iter().enumerate() {
                     kernels::axpy(1.0, g.row(row), da.row_mut(ix));
                 }
-                self.accum(a, &da);
+                self.accum(*a, da);
             }
             &Op::RepeatRow(a, _n) => {
-                let da = col_sums(&g);
-                self.accum(a, &da);
+                let da = col_sums(&mut self.pool, &g);
+                self.accum(a, da);
             }
             &Op::MeanRows(a) => {
-                let (r, c) = self.nodes[a.0].value.shape();
-                let mut da = Tensor::zeros(r, c);
-                for row in 0..r {
-                    for col in 0..c {
-                        da.set(row, col, g.get(0, col) / r as f32);
-                    }
+                let r = self.nodes[a.0].value.rows();
+                let mut da = self.pool.take(r * gc);
+                for _ in 0..r {
+                    da.extend(g.row(0).iter().map(|&gv| gv / r as f32));
                 }
-                self.accum(a, &da);
+                self.accum(a, Tensor::from_vec(r, gc, da));
             }
             &Op::SumAll(a) => {
                 let (r, c) = self.nodes[a.0].value.shape();
-                let da = Tensor::full(r, c, g.item());
-                self.accum(a, &da);
+                let da = self.pool.filled(r, c, std::iter::repeat_n(g.item(), r * c));
+                self.accum(a, da);
             }
             Op::SumVars(vars) => {
                 for &v in vars {
-                    self.accum(v, &g);
+                    self.accum_ref(v, &g);
                 }
             }
         }
+        self.nodes[i].grad = g;
         self.nodes[i].op = op;
     }
 
     /// Accumulates gradients of all parameter leaves into the store. Leaves
-    /// whose gradient was never materialized (no `backward` reached them)
+    /// without gradient storage (no `backward` has run on this pass)
     /// contribute nothing.
     pub fn write_grads(&self, store: &mut ParamStore) {
         for node in &self.nodes {
@@ -1084,15 +1238,9 @@ impl Graph {
     }
 }
 
-fn elem_mul(a: &Tensor, b: &Tensor) -> Tensor {
-    debug_assert_eq!(a.shape(), b.shape());
-    let mut out = Tensor::zeros(a.rows(), a.cols());
-    kernels::mul(a.data(), b.data(), out.data_mut());
-    out
-}
-
-fn col_sums(g: &Tensor) -> Tensor {
-    let mut out = Tensor::zeros(1, g.cols());
+/// Column sums of `g` into a pooled `1×c` row, accumulated row by row.
+fn col_sums(pool: &mut Pool, g: &Tensor) -> Tensor {
+    let mut out = pool.zeros(1, g.cols());
     for r in 0..g.rows() {
         kernels::axpy(1.0, g.row(r), out.row_mut(0));
     }
@@ -1188,7 +1336,7 @@ mod tests {
     fn masked_softmax_zeroes_masked_and_all_masked_rows() {
         let mut g = Graph::new();
         let x = g.leaf(Tensor::from_vec(2, 2, vec![1.0, 2.0, 5.0, 5.0]));
-        let mask = Tensor::from_vec(2, 2, vec![1.0, 1.0, 0.0, 0.0]);
+        let mask = g.constant(Tensor::from_vec(2, 2, vec![1.0, 1.0, 0.0, 0.0]));
         let y = g.softmax_rows_masked(x, Some(mask));
         let v = g.value(y);
         assert!((v.row(0).iter().sum::<f32>() - 1.0).abs() < 1e-6);
@@ -1296,7 +1444,7 @@ mod tests {
         ));
         let h = g.matmul(x, w);
         let act = g.tanh(h);
-        let mask = Tensor::from_vec(2, 2, vec![1.0, 0.0, 1.0, 1.0]);
+        let mask = g.constant(Tensor::from_vec(2, 2, vec![1.0, 0.0, 1.0, 1.0]));
         let sm = g.softmax_rows_masked(act, Some(mask));
         let loss = g.sum_all(sm);
         g.backward(loss);
@@ -1333,27 +1481,135 @@ mod tests {
         assert_eq!(g.len(), 0);
         // The next pass pops recycled buffers instead of allocating: the
         // free list shrinks while the pass runs.
-        let before = g.free.len();
+        let before = g.pool.len;
         assert!(before >= nodes, "expected >= {nodes} pooled buffers");
         let _ = run_pass(&mut g, 0.5);
-        assert!(g.free.len() < before, "pass did not draw from the arena");
+        assert!(g.pool.len < before, "pass did not draw from the arena");
     }
 
     #[test]
     fn arena_stays_bounded_across_many_reuses() {
-        // Leaves and masks are allocated outside the pool and donated on
-        // clear(); the cap must stop them from accumulating forever.
+        // Leaves and masks are allocated outside the pool; clear() must not
+        // let them accumulate in the arena.
         let mut g = Graph::new();
         let mut sizes = Vec::new();
         for _ in 0..60 {
             let _ = run_pass(&mut g, 0.5);
             g.clear();
-            sizes.push(g.free.len());
+            sizes.push(g.pool.len);
         }
         assert_eq!(
             sizes[40],
             *sizes.last().unwrap(),
             "free pool kept growing: {sizes:?}"
+        );
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_lone_negative_zero_contribution_reads_positive_zero() {
+        // d(sum(x ⊙ c))/dx = c: the only contribution is `-0.0` in two
+        // places, and first touch stores `0.0 + -0.0 = +0.0`, exactly what
+        // accumulating onto a zeroed buffer gives.
+        let mut g = Graph::new();
+        let x = g.leaf(Tensor::row_vector(vec![1.0, 2.0, 3.0]));
+        let c = g.constant(Tensor::row_vector(vec![-0.0, 2.0, -0.0]));
+        let xc = g.mul(x, c);
+        let loss = g.sum_all(xc);
+        g.backward(loss);
+        assert_eq!(
+            bits(g.grad(x)),
+            bits(&Tensor::row_vector(vec![0.0, 2.0, 0.0]))
+        );
+    }
+
+    #[test]
+    fn nodes_the_root_does_not_reach_read_zeros_of_their_shape() {
+        let mut g = Graph::new();
+        let used = g.leaf(Tensor::full(2, 3, 0.5));
+        let unused = g.leaf(Tensor::full(3, 1, 4.0));
+        let dangling = g.tanh(used);
+        let loss = g.sum_all(used);
+        let after = g.leaf(Tensor::full(2, 2, 1.0));
+        g.backward(loss);
+        assert_eq!(g.grad(used), &Tensor::full(2, 3, 1.0));
+        assert_eq!(g.grad(unused), &Tensor::zeros(3, 1));
+        assert_eq!(g.grad(dangling), &Tensor::zeros(2, 3));
+        // Past the root nothing is materialized.
+        assert!(g.grad(after).is_empty());
+    }
+
+    #[test]
+    fn three_consumers_sum_onto_zeros_in_walk_order() {
+        let x0 = Tensor::from_vec(2, 3, vec![0.3, -1.7, 2.9, 0.011, -0.45, 7.3]);
+        let consumers: [fn(&mut Graph, Var) -> Var; 3] = [
+            |g, x| g.sigmoid(x),
+            |g, x| g.scale(x, 0.3),
+            |g, x| g.mul(x, x),
+        ];
+        let mut g = Graph::new();
+        let x = g.leaf(x0.clone());
+        let outs: Vec<Var> = consumers.iter().map(|f| f(&mut g, x)).collect();
+        let sums: Vec<Var> = outs.iter().map(|&o| g.sum_all(o)).collect();
+        let loss = g.sum_vars(&sums);
+        g.backward(loss);
+
+        // Each consumer's contribution alone, then summed onto zeros in the
+        // order the reverse walk meets the consumers: last pushed first.
+        let mut expect = Tensor::zeros(2, 3);
+        for f in consumers.iter().rev() {
+            let mut alone = Graph::new();
+            let xa = alone.leaf(x0.clone());
+            let o = f(&mut alone, xa);
+            let s = alone.sum_all(o);
+            alone.backward(s);
+            expect.axpy(1.0, alone.grad(xa));
+        }
+        assert_eq!(bits(g.grad(x)), bits(&expect));
+    }
+
+    /// A DGF-shaped pass over `blocks` stacked 8-row blocks.
+    fn block_pass(g: &mut Graph, blocks: usize) {
+        let rows = 8 * blocks;
+        let x = g.leaf(Tensor::from_vec(
+            rows,
+            16,
+            (0..rows * 16).map(|i| (i as f32 * 0.1).sin()).collect(),
+        ));
+        let w = g.leaf(Tensor::full(16, 16, 0.05));
+        let prop = g.constant(Tensor::full(rows, 8, 1.0));
+        let h = g.matmul(x, w);
+        let agg = g.block_matmul(prop, h, 8);
+        let act = g.tanh(agg);
+        let pooled = g.block_mean_rows(act, &vec![8; blocks]);
+        let loss = g.sum_all(pooled);
+        g.backward(loss);
+        g.clear();
+    }
+
+    #[test]
+    fn alternating_pass_sizes_keep_the_arena_bounded() {
+        let total = |g: &Graph| -> usize {
+            let classes = g.pool.classes.iter();
+            classes.map(|(cap, stack)| cap * stack.len()).sum()
+        };
+        let mut g = Graph::new();
+        let mut totals = Vec::new();
+        for _ in 0..40 {
+            for blocks in [1, 16] {
+                block_pass(&mut g, blocks);
+                totals.push(total(&g));
+            }
+        }
+        // After one round the arena holds what a 16-block pass needs and
+        // never grows again.
+        let after_warmup = &totals[2..];
+        assert!(
+            after_warmup.iter().all(|&t| t <= totals[1]),
+            "arena grew: {totals:?}"
         );
     }
 

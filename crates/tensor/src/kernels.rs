@@ -372,14 +372,26 @@ const NT_DIRECT_MAX_VOLUME: usize = 4096;
 ///
 /// Small products compute eight output columns at a time, each with its own
 /// scalar accumulator summing in increasing-`k` order and skipping
-/// `a[i][k] == 0.0` terms; larger ones transpose `B` into a scratch buffer
-/// and reuse the tiled [`matmul`] kernel (same accumulation order and
-/// skip). Both paths *accumulate into* `out`; on a zeroed `out` the result
-/// is bit-identical to `A.matmul(&B.transpose())`.
+/// `a[i][k] == 0.0` terms; larger ones transpose `B` into `scratch` and
+/// reuse the tiled [`matmul`] kernel (same accumulation order and skip).
+/// Both paths *accumulate into* `out`; on a zeroed `out` the result is
+/// bit-identical to `A.matmul(&B.transpose())`.
+///
+/// `scratch`'s contents are ignored on entry and unspecified on return; the
+/// large path resizes it to `k·n`, so a caller that passes the same buffer
+/// (the autograd tape passes a pooled one) allocates nothing per call.
 ///
 /// # Panics
 /// Panics if slice lengths disagree with the given shape.
-pub fn matmul_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+pub fn matmul_nt(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    scratch: &mut Vec<f32>,
+) {
     assert_eq!(a.len(), m * k, "matmul_nt lhs size mismatch");
     assert_eq!(b.len(), n * k, "matmul_nt rhs size mismatch");
     assert_eq!(out.len(), m * n, "matmul_nt output size mismatch");
@@ -387,7 +399,7 @@ pub fn matmul_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
         return;
     }
     if m * k * n > NT_DIRECT_MAX_VOLUME {
-        matmul_nt_transposed(Arm::detect(), m, k, n, a, b, out);
+        matmul_nt_transposed(Arm::detect(), m, k, n, a, b, out, scratch);
         return;
     }
     for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
@@ -426,7 +438,8 @@ pub fn matmul_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [
 }
 
 /// The large-volume [`matmul_nt`] path on the given arm: transpose `B` into
-/// a scratch buffer, then run the [`matmul`] tiles.
+/// `scratch`, then run the [`matmul`] tiles.
+#[allow(clippy::too_many_arguments)]
 fn matmul_nt_transposed(
     arm: Arm,
     m: usize,
@@ -435,15 +448,17 @@ fn matmul_nt_transposed(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
+    scratch: &mut Vec<f32>,
 ) {
     debug_assert_eq!(out.len(), m * n);
-    let mut bt = vec![0.0f32; k * n];
+    scratch.clear();
+    scratch.resize(k * n, 0.0);
     for (j, brow) in b.chunks_exact(k).enumerate() {
         for (kk, &bv) in brow.iter().enumerate() {
-            bt[kk * n + j] = bv;
+            scratch[kk * n + j] = bv;
         }
     }
-    matmul_on(arm, k, n, a, &bt, out);
+    matmul_on(arm, k, n, a, scratch, out);
 }
 
 /// Transposed-left product `out += Aᵀ·B` over row-major slices (`A: r×m`,
@@ -634,10 +649,10 @@ mod tests {
                             &mut want,
                         );
                         let mut got = seed.clone();
-                        matmul_nt_transposed(arm, m, k, n, &a, &bn, &mut got);
+                        matmul_nt_transposed(arm, m, k, n, &a, &bn, &mut got, &mut Vec::new());
                         assert_eq!(bits(&got), bits(&want), "matmul_nt {arm:?} {shape:?}");
                         let mut got = seed.clone();
-                        matmul_nt(m, k, n, &a, &bn, &mut got);
+                        matmul_nt(m, k, n, &a, &bn, &mut got, &mut Vec::new());
                         assert_eq!(bits(&got), bits(&want), "matmul_nt {shape:?}");
                     }
                 }
@@ -693,7 +708,7 @@ mod tests {
                 }
             }
             let mut out = vec![0.0f32; m * n];
-            matmul_nt(m, k, n, &a2, &b, &mut out);
+            matmul_nt(m, k, n, &a2, &b, &mut out, &mut Vec::new());
             assert_eq!(
                 bits(&out),
                 bits(&matmul_reference(m, k, n, &a2, &bt)),
@@ -766,23 +781,25 @@ mod tests {
     fn degenerate_shapes_are_handled() {
         let mut out: Vec<f32> = Vec::new();
         matmul(0, 3, 0, &[], &[], &mut out);
-        matmul_nt(0, 3, 0, &[], &[], &mut out);
+        matmul_nt(0, 3, 0, &[], &[], &mut out, &mut Vec::new());
         matmul_tn(3, 0, 0, &[], &[], &mut out);
         // k == 0 accumulates nothing: out is left untouched on every path.
         let mut out1 = vec![1.0f32; 1];
-        matmul_nt(1, 0, 1, &[], &[], &mut out1);
+        matmul_nt(1, 0, 1, &[], &[], &mut out1, &mut Vec::new());
         assert_eq!(out1, vec![1.0]);
     }
 
     #[test]
     fn matmul_nt_accumulates_on_both_size_paths() {
         // Same semantics below and above NT_DIRECT_MAX_VOLUME: term-by-term
-        // `out +=` accumulation in increasing-k order.
+        // `out +=` accumulation in increasing-k order, whatever the scratch
+        // buffer held before.
         for &(m, k, n) in &[(2, 3, 2), (32, 32, 32)] {
             let a = ramp(m * k, 0.2);
             let b = ramp(n * k, 0.6);
             let mut got = vec![1.0f32; m * n];
-            matmul_nt(m, k, n, &a, &b, &mut got);
+            let mut dirty = vec![f32::NAN; 5];
+            matmul_nt(m, k, n, &a, &b, &mut got, &mut dirty);
             let mut expect = vec![1.0f32; m * n];
             for i in 0..m {
                 for kk in 0..k {

@@ -196,6 +196,7 @@ impl Tensor {
             &self.data,
             &other.data,
             &mut out.data,
+            &mut Vec::new(),
         );
         out
     }

@@ -106,7 +106,8 @@ fn grad_masked_softmax() {
     let mask = Tensor::from_vec(2, 3, vec![1.0, 0.0, 1.0, 1.0, 1.0, 0.0]);
     let build: Box<Builder> = Box::new(move |g, ins| {
         let ls = leaves(g, ins);
-        let y = g.softmax_rows_masked(ls[0], Some(mask.clone()));
+        let m = g.constant(mask.clone());
+        let y = g.softmax_rows_masked(ls[0], Some(m));
         let w = g.constant(Tensor::from_vec(2, 3, vec![1.0, 2.0, 3.0, -1.0, 0.5, 0.2]));
         let m = g.mul(y, w);
         let s = g.sum_all(m);
