@@ -54,7 +54,7 @@ impl DgfLayer {
     /// Multi-query forward over B equal-size blocks stacked into a
     /// `B·n×in` feature matrix: the dense projections run once over the
     /// whole stack, the propagation matrices live on the tape as one stacked
-    /// `B·n×n` constant (`prop_stack`), and aggregation is a single
+    /// `B·n×n` node (`prop_stack`), and aggregation is a single
     /// [`Graph::block_matmul`] node. Bit-identical to B separate
     /// [`DgfLayer::forward`] calls.
     pub fn forward_batched(
@@ -242,7 +242,7 @@ impl GnnStack {
 
     /// Multi-query forward: propagates B equal-size blocks stacked into a
     /// `B·block×in` feature matrix through the stack in one pass, with the
-    /// stacked `B·block×block` propagation constant already on the tape
+    /// stacked `B·block×block` propagation matrices already on the tape
     /// (one shared `prop_stack` serves both GNN stacks of a predictor
     /// pass). Bit-identical to B separate [`GnnStack::forward`] calls.
     pub fn forward_batched(

@@ -40,6 +40,10 @@ pub struct LatencyPredictor {
     devices: Vec<String>,
     supp_dim: usize,
     pub(crate) store: ParamStore,
+    /// The space's shared `n×n` propagation matrix
+    /// ([`Space::propagation_matrix`]), stamped once per block of every
+    /// stacked pass.
+    prop_block: Tensor,
     op_emb: Embedding,
     hw_emb: Embedding,
     node_emb: Embedding,
@@ -116,6 +120,7 @@ impl LatencyPredictor {
             devices,
             supp_dim,
             store,
+            prop_block: Tensor::from_vec(max_nodes, max_nodes, space.propagation_matrix()),
             op_emb,
             hw_emb,
             node_emb,
@@ -230,10 +235,10 @@ impl LatencyPredictor {
     ///
     /// Dense projections (embedding gathers, linear layers, the op–hw MLP,
     /// the prediction head) run once over the whole stack; DGF aggregation
-    /// and GAT attention run as per-block tape ops over the stacked `B·n×n`
-    /// propagation constant. Each block's hardware rows are **gathered per
-    /// node** ([`Graph::gather_rows`] on the embedding table), so queries
-    /// for different devices share a pass. Every output row is
+    /// and GAT attention run as per-block tape ops over the `B·n×n` stack
+    /// of the space's propagation block. Each block's hardware rows are
+    /// **gathered per node** ([`Graph::gather_rows`] on the embedding
+    /// table), so queries for different devices share a pass. Every output row is
     /// **bit-identical** to [`LatencyPredictor::forward`] on that
     /// (arch, device) pair alone, at any B including 1 — the batched-tape
     /// and determinism suites pin this.
@@ -287,20 +292,21 @@ impl LatencyPredictor {
             (d, None) => panic!("predictor expects {d}-dim supplementary encodings"),
         }
         let b = archs.len();
-        // Every architecture of one space has the same node count, so the
-        // blocks are equal-size: each block's `n×n` propagation matrix is
-        // written in place into ONE `B·n×n` tape constant shared by both
-        // GNN stacks.
+        // Every architecture of one space has the same graph, so the
+        // blocks are equal-size and share one `n×n` propagation matrix:
+        // the `B·n×n` stack both GNN stacks read is that block gathered B
+        // times (`0..n` per block, the node ids below), which also marks
+        // row `t` of every block as one row class.
         let n = self.space.graph_nodes();
-        let mut prop_data = vec![0.0f32; b * n * n];
+        scratch.node_ids.clear();
         scratch.op_ids.clear();
-        for (a, block) in archs.iter().zip(prop_data.chunks_exact_mut(n * n)) {
+        for a in archs {
             assert_eq!(a.space(), self.space, "architecture from a different space");
-            let gr = a.to_graph();
-            gr.write_propagation_matrix(block);
-            scratch.op_ids.extend_from_slice(gr.ops());
+            scratch.node_ids.extend(0..n);
+            scratch.op_ids.extend(a.node_ops());
         }
-        let prop = g.constant(Tensor::from_vec(b * n, n, prop_data));
+        let block = g.constant(self.prop_block.clone());
+        let prop = g.gather_rows(block, &scratch.node_ids);
 
         // Operation (× hardware) joint embedding over the concatenated ops.
         // The hardware rows are gathered per node (block b contributes n
@@ -323,10 +329,6 @@ impl LatencyPredictor {
         let joint = self.ophw_mlp.forward(g, &self.store, refined);
 
         // Main GNN over stacked node embeddings (`0..n` per block).
-        scratch.node_ids.clear();
-        for _ in 0..b {
-            scratch.node_ids.extend(0..n);
-        }
         let node_e = self.node_emb.forward(g, &self.store, &scratch.node_ids);
         let h = self
             .main_gnn
@@ -494,8 +496,8 @@ impl LatencyPredictor {
 ///
 /// Every method runs stacked passes
 /// ([`LatencyPredictor::forward_batched_devices`]); a single query is a pass
-/// with one block. Determinism: a cleared tape re-zeroes every recycled
-/// buffer, so session scores are **bit-identical** to
+/// with one block. Determinism: a cleared tape overwrites every recycled
+/// buffer before reading it, so session scores are **bit-identical** to
 /// [`LatencyPredictor::forward`] on a fresh tape — the determinism suite
 /// pins this at 1/2/8 threads.
 ///

@@ -4,7 +4,7 @@ use rand::Rng;
 
 use crate::cost::CostProfile;
 use crate::fbnet;
-use crate::graph::ArchGraph;
+use crate::graph::{self, ArchGraph};
 use crate::nb201;
 
 /// Which NAS benchmark space an architecture belongs to.
@@ -59,6 +59,17 @@ impl Space {
             Space::Nb201 => Some(nb201::NB201_NUM_ARCHS),
             Space::Fbnet => None,
         }
+    }
+
+    /// The `n×n` propagation matrix ([`ArchGraph::propagation_matrix`])
+    /// that every architecture of this space shares: a space fixes its
+    /// topology (NB201's cell edges, FBNet's chain) and a genotype only
+    /// picks the op on each node, so this equals
+    /// `arch.to_graph().propagation_matrix()` for every `arch` here.
+    pub fn propagation_matrix(self) -> Vec<f32> {
+        Arch::new(self, vec![0; self.genotype_len()])
+            .to_graph()
+            .propagation_matrix()
     }
 
     /// Short display name used in table headers.
@@ -167,6 +178,12 @@ impl Arch {
     /// Op choice per edge/position.
     pub fn genotype(&self) -> &[u8] {
         &self.genotype
+    }
+
+    /// Operation id per node of [`Arch::to_graph`], without building the
+    /// graph: `INPUT`, the genotype's ops, `OUTPUT`.
+    pub fn node_ops(&self) -> impl Iterator<Item = usize> + '_ {
+        graph::node_ops(&self.genotype)
     }
 
     /// Converts to the operation-on-nodes DAG used by GNN predictors.

@@ -11,7 +11,7 @@ use std::collections::HashSet;
 
 use crate::arch::{Arch, Space};
 use crate::cost::{CostProfile, OpCost};
-use crate::graph::{ArchGraph, OP_BASE, OP_INPUT, OP_OUTPUT};
+use crate::graph::{node_ops, ArchGraph};
 
 /// The nine FBNet candidate blocks, indexed by genotype value.
 pub const FBNET_BLOCKS: &[&str] = &[
@@ -118,11 +118,7 @@ pub fn to_graph(genotype: &[u8]) -> ArchGraph {
     assert_eq!(genotype.len(), FBNET_POSITIONS);
     let n = FBNET_POSITIONS + 2;
     let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
-    let mut ops = Vec::with_capacity(n);
-    ops.push(OP_INPUT);
-    ops.extend(genotype.iter().map(|&g| OP_BASE + g as usize));
-    ops.push(OP_OUTPUT);
-    ArchGraph::new(n, &edges, ops)
+    ArchGraph::new(n, &edges, node_ops(genotype).collect())
 }
 
 /// Cost of one block at a position config.

@@ -13,6 +13,14 @@ pub(crate) const OP_OUTPUT: usize = 1;
 /// First op id available to real operations.
 pub(crate) const OP_BASE: usize = 2;
 
+/// Operation ids of a genotype's line-graph nodes: `INPUT`, one node per
+/// genotype op, `OUTPUT` (the node order of both spaces' graphs).
+pub(crate) fn node_ops(genotype: &[u8]) -> impl Iterator<Item = usize> + '_ {
+    std::iter::once(OP_INPUT)
+        .chain(genotype.iter().map(|&g| OP_BASE + g as usize))
+        .chain(std::iter::once(OP_OUTPUT))
+}
+
 /// A DAG with one operation id per node and a dense adjacency matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchGraph {
@@ -126,28 +134,15 @@ impl ArchGraph {
     pub fn propagation_matrix(&self) -> Vec<f32> {
         let n = self.num_nodes;
         let mut m = vec![0.0f32; n * n];
-        self.write_propagation_matrix(&mut m);
-        m
-    }
-
-    /// [`ArchGraph::propagation_matrix`] written into a caller-provided
-    /// `n×n` slice (assumed zeroed) — lets multi-query tape construction
-    /// assemble B stacked propagation blocks without B intermediate
-    /// allocations.
-    ///
-    /// # Panics
-    /// Panics if `out` is not exactly `n×n` long.
-    pub fn write_propagation_matrix(&self, out: &mut [f32]) {
-        let n = self.num_nodes;
-        assert_eq!(out.len(), n * n, "propagation slice must be n*n");
         for i in 0..n {
-            out[i * n + i] = 1.0;
+            m[i * n + i] = 1.0;
             for j in 0..n {
                 if self.adj[j * n + i] != 0.0 {
-                    out[i * n + j] = 1.0;
+                    m[i * n + j] = 1.0;
                 }
             }
         }
+        m
     }
 
     /// Nodes in topological order (indices are already topological by

@@ -6,7 +6,7 @@
 //! then pooling and a classifier.
 
 use crate::cost::{CostProfile, OpCost};
-use crate::graph::{ArchGraph, OP_BASE, OP_INPUT, OP_OUTPUT};
+use crate::graph::{node_ops, ArchGraph};
 
 /// The five NB201 edge operations, indexed by genotype value.
 pub const NB201_OPS: &[&str] = &[
@@ -55,11 +55,7 @@ pub fn to_graph(genotype: &[u8]) -> ArchGraph {
             }
         }
     }
-    let mut ops = Vec::with_capacity(n);
-    ops.push(OP_INPUT);
-    ops.extend(genotype.iter().map(|&g| OP_BASE + g as usize));
-    ops.push(OP_OUTPUT);
-    ArchGraph::new(n, &edges, ops)
+    ArchGraph::new(n, &edges, node_ops(genotype).collect())
 }
 
 /// Cost of one edge op at `c` channels and `s×s` spatial resolution.

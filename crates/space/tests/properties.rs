@@ -119,3 +119,21 @@ proptest! {
         }
     }
 }
+
+/// The predictor stacks one cached propagation block per space and reads
+/// node op ids straight from the genotype; both must agree with the graph
+/// of every architecture it is asked about.
+#[test]
+fn shared_propagation_matrix_and_node_ops_match_every_graph() {
+    let nb201: Vec<Arch> = (0..NB201_NUM_ARCHS).map(Arch::nb201_from_index).collect();
+    let fbnet = nasflat_space::fbnet_pool(7, 1_000);
+    assert_eq!((nb201.len(), fbnet.len()), (15_625, 1_000));
+    for (space, archs) in [(Space::Nb201, nb201), (Space::Fbnet, fbnet)] {
+        let shared = space.propagation_matrix();
+        for a in &archs {
+            let g = a.to_graph();
+            assert_eq!(g.propagation_matrix(), shared, "{a:?}");
+            assert_eq!(a.node_ops().collect::<Vec<_>>(), g.ops(), "{a:?}");
+        }
+    }
+}

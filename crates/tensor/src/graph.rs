@@ -39,11 +39,46 @@
 //! never grow) a buffer another shape on the tape needs, and passes of
 //! alternating shapes — a 16-architecture batch, then a 4-architecture
 //! one — find their buffers wherever the previous pass left them.
+//!
+//! # Row classes
+//!
+//! A stacked pass repeats rows: every block has the same topology, many
+//! share ops, and a training batch shares its device. The forward pass
+//! therefore tracks, per node, which rows are equal **by provenance** — a
+//! class set, derived from how rows were computed, never from comparing
+//! `f32` bits:
+//!
+//! - [`Graph::gather_rows`] is the source: rows gathered from one row (or
+//!   from one class of a classed input) are one class. Leaves, constants
+//!   and parameters carry none: all their rows are distinct.
+//! - Row-wise ops keep their input's classes: `MatMul`, the row broadcasts
+//!   (whose right operand is a single row), the element-wise maps and
+//!   `LayerNormRows`.
+//! - Same-shape binary ops, `ConcatCols` and the masked softmax (with its
+//!   mask) pair their two inputs' classes: rows are equal where both are.
+//! - `BlockMatMul` keys each row by its left row's class plus the right
+//!   operand's classes at that row's nonzero columns — exactly the terms
+//!   the kernel does not skip. `BlockMatMulNt` keys each row by its left
+//!   row's class and its block's classes on the right, so a stack whose
+//!   blocks all carry the same classes computes one block.
+//! - Every other op produces distinct rows.
+//!
+//! The class-aware ops — the products, `Sigmoid`, `Tanh`, the masked
+//! softmax and `LayerNormRows` — compute one representative row per class
+//! with the same kernel and per-row order, then copy it to the other rows;
+//! the cheap maps compute every row. A row's bits depend only on its
+//! inputs' rows, so the copy is bit for bit what computing the row would
+//! give. Every node value is therefore unchanged and fully materialized,
+//! and the backward pass — which reads only values, `aux` and gradients —
+//! is untouched. [`Graph::row_counts`] reports the rows a pass produced
+//! and computed.
 
-use std::collections::BTreeMap;
-
+use crate::classes::{
+    copy_class_rows, for_each_block_run, for_each_rep_run, ClassId, RowClasses, RowCounts, NONE,
+};
 use crate::kernels;
 use crate::params::{ParamId, ParamStore};
+use crate::pool::Pool;
 use crate::tensor::Tensor;
 
 /// Handle to a node on the tape.
@@ -91,91 +126,17 @@ struct Node {
     /// Saved intermediates needed by backward (e.g. LayerNorm's normalized
     /// input and inverse std).
     aux: Vec<Tensor>,
-}
-
-/// Recycled `f32` buffers, filed by capacity: [`Graph::clear`] refills
-/// it, ops, gradients and backward temporaries draw from it, and
-/// temporaries go back to it.
-#[derive(Default)]
-struct Pool {
-    /// Free buffers by capacity; each class is a stack, most recently freed
-    /// on top.
-    classes: BTreeMap<usize, Vec<Vec<f32>>>,
-    /// Free buffers across all classes.
-    len: usize,
-}
-
-impl Pool {
-    /// An empty buffer with capacity for `len` values: best fit — the most
-    /// recently freed buffer of the smallest capacity that fits — else a
-    /// new one.
-    fn take(&mut self, len: usize) -> Vec<f32> {
-        let hit = self
-            .classes
-            .range_mut(len..)
-            .find_map(|(_, stack)| stack.pop());
-        match hit {
-            Some(mut buf) => {
-                self.len -= 1;
-                buf.clear();
-                buf
-            }
-            None => Vec::with_capacity(len),
-        }
-    }
-
-    /// A pooled zeros tensor.
-    fn zeros(&mut self, rows: usize, cols: usize) -> Tensor {
-        let mut buf = self.take(rows * cols);
-        buf.resize(rows * cols, 0.0);
-        Tensor::from_vec(rows, cols, buf)
-    }
-
-    /// A pooled `rows×cols` tensor holding `values` in row-major order.
-    fn filled(
-        &mut self,
-        rows: usize,
-        cols: usize,
-        values: impl IntoIterator<Item = f32>,
-    ) -> Tensor {
-        let mut buf = self.take(rows * cols);
-        buf.extend(values);
-        Tensor::from_vec(rows, cols, buf)
-    }
-
-    /// Files a buffer under its capacity.
-    fn give(&mut self, buf: Vec<f32>) {
-        self.classes.entry(buf.capacity()).or_default().push(buf);
-        self.len += 1;
-    }
-
-    /// Returns a tensor's buffer to the pool.
-    fn put(&mut self, t: Tensor) {
-        self.give(t.into_vec());
-    }
-
-    /// Drops buffers, largest capacity first, until at most `max` remain.
-    fn trim(&mut self, max: usize) {
-        while self.len > max {
-            let Some(mut class) = self.classes.last_entry() else {
-                break;
-            };
-            let stack = class.get_mut();
-            let cut = (self.len - max).min(stack.len());
-            stack.truncate(stack.len() - cut);
-            self.len -= cut;
-            if stack.is_empty() {
-                class.remove();
-            }
-        }
-    }
+    /// Row classes: the set of rows equal by provenance ([`NONE`] when
+    /// all rows are distinct).
+    classes: ClassId,
 }
 
 /// A reverse-mode autodiff tape with a reusable buffer arena.
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
-    pool: Pool,
+    pool: Pool<f32>,
+    classes: RowClasses,
 }
 
 impl Graph {
@@ -183,7 +144,7 @@ impl Graph {
     pub fn new() -> Self {
         Graph {
             nodes: Vec::with_capacity(256),
-            pool: Pool::default(),
+            ..Graph::default()
         }
     }
 
@@ -197,12 +158,18 @@ impl Graph {
         self.nodes.is_empty()
     }
 
+    /// Rows produced and computed by class-aware ops since the last
+    /// [`Graph::clear`].
+    pub fn row_counts(&self) -> RowCounts {
+        self.classes.counts()
+    }
+
     /// Resets the tape for the next forward pass while retaining capacity:
     /// the node vector keeps its allocation and every buffer the pass took
-    /// from the arena — op values, parameter copies, gradients, aux — goes
-    /// back to it, so a cleared graph re-runs a same-shaped forward pass
-    /// with (at most) a bounded handful of fresh allocations and its
-    /// backward pass with none.
+    /// from the arena — op values, parameter copies, gradients, aux, row
+    /// classes — goes back to it, so a cleared graph re-runs a same-shaped
+    /// forward pass with (at most) a bounded handful of fresh allocations
+    /// and its backward pass with none.
     ///
     /// Constants and plain leaves hold buffers their caller allocated
     /// (propagation matrices, node features); those are dropped here rather
@@ -232,6 +199,7 @@ impl Graph {
         // aux); room for two passes' worth lets alternating shapes — a full
         // batch and a remainder batch — both keep theirs.
         self.pool.trim(8 * nodes + 16);
+        self.classes.clear();
     }
 
     /// A pooled zeros tensor.
@@ -240,10 +208,17 @@ impl Graph {
     }
 
     fn push(&mut self, value: Tensor, op: Op, requires_grad: bool) -> Var {
-        self.push_aux(value, op, requires_grad, Vec::new())
+        self.push_classed(value, op, requires_grad, Vec::new(), NONE)
     }
 
-    fn push_aux(&mut self, value: Tensor, op: Op, requires_grad: bool, aux: Vec<Tensor>) -> Var {
+    fn push_classed(
+        &mut self,
+        value: Tensor,
+        op: Op,
+        requires_grad: bool,
+        aux: Vec<Tensor>,
+        classes: ClassId,
+    ) -> Var {
         // Gradients are first-touch: forward-only passes (batched
         // prediction sweeps) never pay for them, and `backward` gives a node
         // storage only when its first contribution arrives.
@@ -254,12 +229,18 @@ impl Graph {
             requires_grad,
             param: None,
             aux,
+            classes,
         });
         Var(self.nodes.len() - 1)
     }
 
     fn rg(&self, v: Var) -> bool {
         self.nodes[v.0].requires_grad
+    }
+
+    /// The row classes of `v`'s node.
+    fn class(&self, v: Var) -> ClassId {
+        self.nodes[v.0].classes
     }
 
     /// Inserts a constant (no gradient will flow into it).
@@ -301,7 +282,7 @@ impl Graph {
 
     // ---- ops -------------------------------------------------------------
 
-    /// Matrix product.
+    /// Matrix product. Class-aware: computes one row per class of `a`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let (m, ka) = self.nodes[a.0].value.shape();
         let (kb, n) = self.nodes[b.0].value.shape();
@@ -312,26 +293,39 @@ impl Graph {
             (m, ka),
             (kb, n)
         );
+        let classes = self.class(a);
         let mut v = self.zeros(m, n);
-        kernels::matmul(
-            m,
-            ka,
-            n,
-            self.nodes[a.0].value.data(),
-            self.nodes[b.0].value.data(),
-            v.data_mut(),
-        );
+        {
+            let (ta, tb) = (self.nodes[a.0].value.data(), self.nodes[b.0].value.data());
+            let (first, out) = (self.classes.first(classes), v.data_mut());
+            for_each_rep_run(first, m, |s, e| {
+                kernels::matmul(
+                    e - s,
+                    ka,
+                    n,
+                    &ta[s * ka..e * ka],
+                    tb,
+                    &mut out[s * n..e * n],
+                );
+            });
+            copy_class_rows(first, out, n);
+        }
+        self.classes.record(classes, m);
         let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::MatMul(a, b), rg)
+        self.push_classed(v, Op::MatMul(a, b), rg, Vec::new(), classes)
     }
 
     /// Per-block matrix product over **equal-size** stacked blocks: `a`
     /// holds B square `block×block` matrices stacked vertically
     /// (`B·block × block`), `b` holds B feature blocks (`B·block × c`), and
     /// output block `i` is `a_i · b_i`. The multi-query form of B separate
-    /// [`Graph::matmul`]s — each block runs the identical kernel call, so
+    /// [`Graph::matmul`]s — each row runs the identical kernel call, so
     /// results are bit-identical to the per-query passes (and to the dense
     /// block-diagonal product), at `Σ block²·c` cost and **one** tape node.
+    ///
+    /// Class-aware: two rows are equal when their rows of `a` are and
+    /// `b`'s rows at the nonzero columns of that row are; one row per
+    /// class is computed.
     ///
     /// # Panics
     /// Panics if `block` is 0, `a` is not `B·block × block`, or `b` has a
@@ -345,23 +339,32 @@ impl Graph {
             "block_matmul lhs must be stacked {block}x{block} blocks"
         );
         assert_eq!(ra, rb, "block_matmul row mismatch");
+        let classes = self.classes.block_matmul(
+            self.class(a),
+            self.class(b),
+            self.nodes[a.0].value.data(),
+            block,
+        );
         let mut v = self.zeros(ra, cb);
         {
-            let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-            for blk in 0..ra / block {
+            let (ta, tb) = (self.nodes[a.0].value.data(), self.nodes[b.0].value.data());
+            let (first, out) = (self.classes.first(classes), v.data_mut());
+            for_each_block_run(first, ra, block, |blk, s, e| {
                 let off = blk * block;
                 kernels::matmul(
-                    block,
+                    e - s,
                     block,
                     cb,
-                    &ta.data()[off * block..(off + block) * block],
-                    &tb.data()[off * cb..(off + block) * cb],
-                    &mut v.data_mut()[off * cb..(off + block) * cb],
+                    &ta[s * block..e * block],
+                    &tb[off * cb..(off + block) * cb],
+                    &mut out[s * cb..e * cb],
                 );
-            }
+            });
+            copy_class_rows(first, out, cb);
         }
+        self.classes.record(classes, ra);
         let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::BlockMatMul(a, b, block), rg)
+        self.push_classed(v, Op::BlockMatMul(a, b, block), rg, Vec::new(), classes)
     }
 
     /// Per-block transposed product over equal-size stacked blocks: `a` and
@@ -371,6 +374,10 @@ impl Graph {
     /// materializes `b_iᵀ` into a pooled scratch buffer and runs the same
     /// [`kernels::matmul`] call the per-query pass would, so results are
     /// bit-identical, and the B passes cost **one** tape node.
+    ///
+    /// Class-aware: two rows are equal when their rows of `a` are and their
+    /// blocks of `b` carry the same classes, so a stack whose blocks all
+    /// carry the same classes computes one block.
     ///
     /// # Panics
     /// Panics if `block` is 0, shapes differ, or the row count is not a
@@ -384,218 +391,253 @@ impl Graph {
             "block_matmul_nt shape mismatch"
         );
         assert_eq!(ra % block, 0, "rows must be a multiple of the block size");
+        let classes = self
+            .classes
+            .block_matmul_nt(self.class(a), self.class(b), ra, block);
         let mut scratch = self.pool.zeros(k, block);
         let mut v = self.zeros(ra, block);
         {
-            let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-            for blk in 0..ra / block {
+            let (ta, tb) = (self.nodes[a.0].value.data(), self.nodes[b.0].value.data());
+            let (first, out) = (self.classes.first(classes), v.data_mut());
+            let mut transposed = None;
+            for_each_block_run(first, ra, block, |blk, s, e| {
                 let off = blk * block;
-                // b_iᵀ, laid out exactly like the per-query transpose node.
-                for i in 0..block {
-                    for j in 0..k {
-                        scratch.set(j, i, tb.get(off + i, j));
+                if transposed != Some(blk) {
+                    // b_iᵀ, laid out exactly like the per-query transpose node.
+                    let bt = scratch.data_mut();
+                    for (i, row) in tb[off * k..(off + block) * k].chunks_exact(k).enumerate() {
+                        for (j, &x) in row.iter().enumerate() {
+                            bt[j * block + i] = x;
+                        }
                     }
+                    transposed = Some(blk);
                 }
                 kernels::matmul(
-                    block,
+                    e - s,
                     k,
                     block,
-                    &ta.data()[off * k..(off + block) * k],
+                    &ta[s * k..e * k],
                     scratch.data(),
-                    &mut v.data_mut()[off * block..(off + block) * block],
+                    &mut out[s * block..e * block],
                 );
-            }
+            });
+            copy_class_rows(first, out, block);
         }
         self.pool.put(scratch);
+        self.classes.record(classes, ra);
         let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::BlockMatMulNt(a, b, block), rg)
+        self.push_classed(v, Op::BlockMatMulNt(a, b, block), rg, Vec::new(), classes)
+    }
+
+    /// A same-shape element-wise op: every row computed, the row classes
+    /// paired.
+    fn elementwise(
+        &mut self,
+        a: Var,
+        b: Var,
+        op: Op,
+        kernel: fn(&[f32], &[f32], &mut [f32]),
+    ) -> Var {
+        let (sa, sb) = (self.nodes[a.0].value.shape(), self.nodes[b.0].value.shape());
+        assert_eq!(sa, sb, "{op:?}: shape mismatch");
+        let mut v = self.zeros(sa.0, sa.1);
+        kernel(
+            self.nodes[a.0].value.data(),
+            self.nodes[b.0].value.data(),
+            v.data_mut(),
+        );
+        let classes = self.classes.pair(self.class(a), self.class(b));
+        let rg = self.rg(a) || self.rg(b);
+        self.push_classed(v, op, rg, Vec::new(), classes)
     }
 
     /// Element-wise sum. Shapes must match.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let (sa, sb) = (self.nodes[a.0].value.shape(), self.nodes[b.0].value.shape());
-        assert_eq!(sa, sb, "add shape mismatch");
-        let mut v = self.zeros(sa.0, sa.1);
-        kernels::add(
-            self.nodes[a.0].value.data(),
-            self.nodes[b.0].value.data(),
-            v.data_mut(),
-        );
-        let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::Add(a, b), rg)
+        self.elementwise(a, b, Op::Add(a, b), kernels::add)
     }
 
     /// Element-wise difference `a - b`. Shapes must match.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let (sa, sb) = (self.nodes[a.0].value.shape(), self.nodes[b.0].value.shape());
-        assert_eq!(sa, sb, "sub shape mismatch");
-        let mut v = self.zeros(sa.0, sa.1);
-        kernels::sub(
-            self.nodes[a.0].value.data(),
-            self.nodes[b.0].value.data(),
-            v.data_mut(),
-        );
-        let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::Sub(a, b), rg)
+        self.elementwise(a, b, Op::Sub(a, b), kernels::sub)
     }
 
     /// Hadamard (element-wise) product. Shapes must match.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let (sa, sb) = (self.nodes[a.0].value.shape(), self.nodes[b.0].value.shape());
-        assert_eq!(sa, sb, "mul shape mismatch");
-        let mut v = self.zeros(sa.0, sa.1);
-        kernels::mul(
-            self.nodes[a.0].value.data(),
-            self.nodes[b.0].value.data(),
-            v.data_mut(),
-        );
+        self.elementwise(a, b, Op::MulElem(a, b), kernels::mul)
+    }
+
+    /// A `1×c` row `b` combined into every row of `a`: every row computed,
+    /// `a`'s row classes kept.
+    fn row_broadcast(
+        &mut self,
+        a: Var,
+        b: Var,
+        op: Op,
+        kernel: fn(&[f32], &[f32], &mut [f32]),
+    ) -> Var {
+        let (r, c) = self.nodes[a.0].value.shape();
+        {
+            let tb = &self.nodes[b.0].value;
+            assert_eq!(tb.rows(), 1, "broadcast rhs must be a row vector");
+            assert_eq!(c, tb.cols(), "broadcast col mismatch");
+        }
+        let mut v = self.zeros(r, c);
+        {
+            let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+            for i in 0..r {
+                kernel(ta.row(i), tb.row(0), v.row_mut(i));
+            }
+        }
         let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::MulElem(a, b), rg)
+        self.push_classed(v, op, rg, Vec::new(), self.class(a))
     }
 
     /// Adds a `1×c` row vector to every row of an `r×c` matrix.
     pub fn add_row_broadcast(&mut self, a: Var, b: Var) -> Var {
-        let (r, c) = self.nodes[a.0].value.shape();
-        {
-            let tb = &self.nodes[b.0].value;
-            assert_eq!(tb.rows(), 1, "broadcast rhs must be a row vector");
-            assert_eq!(c, tb.cols(), "broadcast col mismatch");
-        }
-        let mut v = self.zeros(r, c);
-        {
-            let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-            for i in 0..r {
-                kernels::add(ta.row(i), tb.row(0), v.row_mut(i));
-            }
-        }
-        let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::AddRowBroadcast(a, b), rg)
+        self.row_broadcast(a, b, Op::AddRowBroadcast(a, b), kernels::add)
     }
 
     /// Multiplies every row of an `r×c` matrix by a `1×c` row vector.
     pub fn mul_row_broadcast(&mut self, a: Var, b: Var) -> Var {
+        self.row_broadcast(a, b, Op::MulRowBroadcast(a, b), kernels::mul)
+    }
+
+    /// An element-wise map, keeping `a`'s row classes. The `exp`-based
+    /// maps are class-aware, computing one row per class; the cheap ones
+    /// compute every row, which costs no more than copying them.
+    fn unary(&mut self, a: Var, op: Op, kernel: impl Fn(&[f32], &mut [f32])) -> Var {
         let (r, c) = self.nodes[a.0].value.shape();
-        {
-            let tb = &self.nodes[b.0].value;
-            assert_eq!(tb.rows(), 1, "broadcast rhs must be a row vector");
-            assert_eq!(c, tb.cols(), "broadcast col mismatch");
-        }
+        let classes = self.class(a);
+        let by_class = matches!(op, Op::Sigmoid(_) | Op::Tanh(_));
         let mut v = self.zeros(r, c);
         {
-            let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-            for i in 0..r {
-                kernels::mul(ta.row(i), tb.row(0), v.row_mut(i));
-            }
+            let (x, out) = (self.nodes[a.0].value.data(), v.data_mut());
+            let first = if by_class {
+                self.classes.first(classes)
+            } else {
+                &[]
+            };
+            for_each_rep_run(first, r, |s, e| {
+                kernel(&x[s * c..e * c], &mut out[s * c..e * c]);
+            });
+            copy_class_rows(first, out, c);
         }
-        let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::MulRowBroadcast(a, b), rg)
+        if by_class {
+            self.classes.record(classes, r);
+        }
+        let rg = self.rg(a);
+        self.push_classed(v, op, rg, Vec::new(), classes)
     }
 
     /// Scalar multiple `s * a`.
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
-        let (r, c) = self.nodes[a.0].value.shape();
-        let mut v = self.zeros(r, c);
-        kernels::scale(s, self.nodes[a.0].value.data(), v.data_mut());
-        let rg = self.rg(a);
-        self.push(v, Op::Scale(a, s), rg)
+        self.unary(a, Op::Scale(a, s), |x, o| kernels::scale(s, x, o))
     }
 
     /// Adds a scalar constant to every element.
     pub fn add_scalar(&mut self, a: Var, s: f32) -> Var {
-        let (r, c) = self.nodes[a.0].value.shape();
-        let mut v = self.zeros(r, c);
-        kernels::add_scalar(s, self.nodes[a.0].value.data(), v.data_mut());
-        let rg = self.rg(a);
-        self.push(v, Op::AddScalar(a, s), rg)
+        self.unary(a, Op::AddScalar(a, s), |x, o| kernels::add_scalar(s, x, o))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let (r, c) = self.nodes[a.0].value.shape();
-        let mut v = self.zeros(r, c);
-        kernels::sigmoid(self.nodes[a.0].value.data(), v.data_mut());
-        let rg = self.rg(a);
-        self.push(v, Op::Sigmoid(a), rg)
+        self.unary(a, Op::Sigmoid(a), kernels::sigmoid)
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let (r, c) = self.nodes[a.0].value.shape();
-        let mut v = self.zeros(r, c);
-        kernels::tanh(self.nodes[a.0].value.data(), v.data_mut());
-        let rg = self.rg(a);
-        self.push(v, Op::Tanh(a), rg)
+        self.unary(a, Op::Tanh(a), kernels::tanh)
     }
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        let (r, c) = self.nodes[a.0].value.shape();
-        let mut v = self.zeros(r, c);
-        kernels::relu(self.nodes[a.0].value.data(), v.data_mut());
-        let rg = self.rg(a);
-        self.push(v, Op::Relu(a), rg)
+        self.unary(a, Op::Relu(a), kernels::relu)
     }
 
     /// Leaky ReLU with the given negative slope.
     pub fn leaky_relu(&mut self, a: Var, slope: f32) -> Var {
-        let (r, c) = self.nodes[a.0].value.shape();
-        let mut v = self.zeros(r, c);
-        kernels::leaky_relu(slope, self.nodes[a.0].value.data(), v.data_mut());
-        let rg = self.rg(a);
-        self.push(v, Op::LeakyRelu(a, slope), rg)
+        self.unary(a, Op::LeakyRelu(a, slope), |x, o| {
+            kernels::leaky_relu(slope, x, o)
+        })
     }
 
     /// Row-wise softmax. With `mask` (a node of the same shape, typically a
     /// constant already on the tape), entries where `mask == 0` receive
     /// zero probability; an all-masked row becomes all zeros (no NaNs). No
     /// gradient flows into the mask.
+    ///
+    /// Class-aware: rows are equal when their rows of `a` and of the mask
+    /// are; one row per class is computed.
     pub fn softmax_rows_masked(&mut self, a: Var, mask: Option<Var>) -> Var {
         let (r, c) = self.nodes[a.0].value.shape();
-        if let Some(m) = mask {
-            assert_eq!(
-                self.nodes[m.0].value.shape(),
-                (r, c),
-                "softmax mask shape mismatch"
-            );
-        }
+        let classes = match mask {
+            Some(m) => {
+                assert_eq!(
+                    self.nodes[m.0].value.shape(),
+                    (r, c),
+                    "softmax mask shape mismatch"
+                );
+                self.classes.pair(self.class(a), self.class(m))
+            }
+            None => self.class(a),
+        };
         let mut v = self.zeros(r, c);
         {
             let ta = &self.nodes[a.0].value;
             let tm = mask.map(|m| &self.nodes[m.0].value);
-            for row in 0..r {
-                let (xr, vr) = (ta.row(row), v.row_mut(row));
-                let mr = tm.map(|m| m.row(row));
-                let allowed = |col: usize| mr.is_none_or(|m| m[col] != 0.0);
-                let mut maxv = f32::NEG_INFINITY;
-                for (col, &x) in xr.iter().enumerate() {
-                    if allowed(col) {
-                        maxv = maxv.max(x);
+            let (first, out) = (self.classes.first(classes), v.data_mut());
+            let allowed = |row: usize, col: usize| tm.is_none_or(|m| m.get(row, col) != 0.0);
+            for_each_rep_run(first, r, |s, e| {
+                // Shift each row by its masked max, exponentiate the run at
+                // once, then normalize each row over its allowed entries. A
+                // fully masked row (no finite max) exponentiates -inf, so
+                // it stays all zeros.
+                let run = &mut out[s * c..e * c];
+                for (row, vr) in (s..e).zip(run.chunks_exact_mut(c)) {
+                    let xr = ta.row(row);
+                    let mut maxv = f32::NEG_INFINITY;
+                    for (col, &x) in xr.iter().enumerate() {
+                        if allowed(row, col) {
+                            maxv = maxv.max(x);
+                        }
+                    }
+                    if !maxv.is_finite() {
+                        vr.fill(f32::NEG_INFINITY);
+                        continue;
+                    }
+                    for (col, (&x, o)) in xr.iter().zip(vr.iter_mut()).enumerate() {
+                        if allowed(row, col) {
+                            *o = x - maxv;
+                        }
                     }
                 }
-                if !maxv.is_finite() {
-                    continue; // fully masked row stays zero
-                }
-                let mut sum = 0.0;
-                for (col, (&x, o)) in xr.iter().zip(vr.iter_mut()).enumerate() {
-                    if allowed(col) {
-                        let e = (x - maxv).exp();
-                        *o = e;
-                        sum += e;
+                kernels::exp_in_place(run);
+                for (row, vr) in (s..e).zip(run.chunks_exact_mut(c)) {
+                    let mut sum = 0.0;
+                    for (col, o) in vr.iter_mut().enumerate() {
+                        if allowed(row, col) {
+                            sum += *o;
+                        } else {
+                            *o = 0.0;
+                        }
+                    }
+                    if sum > 0.0 {
+                        for o in vr.iter_mut() {
+                            *o /= sum;
+                        }
                     }
                 }
-                if sum > 0.0 {
-                    for o in vr.iter_mut() {
-                        *o /= sum;
-                    }
-                }
-            }
+            });
+            copy_class_rows(first, out, c);
         }
+        self.classes.record(classes, r);
         let rg = self.rg(a);
-        self.push(v, Op::SoftmaxRowsMasked(a, mask), rg)
+        self.push_classed(v, Op::SoftmaxRowsMasked(a, mask), rg, Vec::new(), classes)
     }
 
     /// Row-wise LayerNorm with per-column affine parameters
-    /// (`gamma`, `beta` are `1×c`).
+    /// (`gamma`, `beta` are `1×c`). Class-aware: one row per class of `x`
+    /// is computed, its saved normalized row and inverse std included.
     pub fn layer_norm_rows(&mut self, x: Var, gamma: Var, beta: Var) -> Var {
         const EPS: f32 = 1e-5;
         let (r, c) = self.nodes[x.0].value.shape();
@@ -605,6 +647,7 @@ impl Graph {
             "gamma must be 1xC"
         );
         assert_eq!(self.nodes[beta.0].value.shape(), (1, c), "beta must be 1xC");
+        let classes = self.class(x);
         let mut xhat = self.zeros(r, c);
         let mut inv_std = self.zeros(r, 1);
         let mut out = self.zeros(r, c);
@@ -614,30 +657,38 @@ impl Graph {
                 self.nodes[gamma.0].value.data(),
                 self.nodes[beta.0].value.data(),
             );
-            for i in 0..r {
-                let row = tx.row(i);
-                let mu = row.iter().sum::<f32>() / c as f32;
-                let var = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f32>() / c as f32;
-                let is = 1.0 / (var + EPS).sqrt();
-                inv_std.data_mut()[i] = is;
-                let (xr, or) = (xhat.row_mut(i), out.row_mut(i));
-                for ((&rv, (xh_out, o)), (&gv, &bv)) in row
-                    .iter()
-                    .zip(xr.iter_mut().zip(or.iter_mut()))
-                    .zip(tg.iter().zip(tb))
-                {
-                    let xh = (rv - mu) * is;
-                    *xh_out = xh;
-                    *o = xh * gv + bv;
+            let first = self.classes.first(classes);
+            for_each_rep_run(first, r, |s, e| {
+                for i in s..e {
+                    let row = tx.row(i);
+                    let mu = row.iter().sum::<f32>() / c as f32;
+                    let var = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<f32>() / c as f32;
+                    let is = 1.0 / (var + EPS).sqrt();
+                    inv_std.data_mut()[i] = is;
+                    let (xr, or) = (xhat.row_mut(i), out.row_mut(i));
+                    for ((&rv, (xh_out, o)), (&gv, &bv)) in row
+                        .iter()
+                        .zip(xr.iter_mut().zip(or.iter_mut()))
+                        .zip(tg.iter().zip(tb))
+                    {
+                        let xh = (rv - mu) * is;
+                        *xh_out = xh;
+                        *o = xh * gv + bv;
+                    }
                 }
-            }
+            });
+            copy_class_rows(first, xhat.data_mut(), c);
+            copy_class_rows(first, inv_std.data_mut(), 1);
+            copy_class_rows(first, out.data_mut(), c);
         }
+        self.classes.record(classes, r);
         let rg = self.rg(x) || self.rg(gamma) || self.rg(beta);
-        self.push_aux(
+        self.push_classed(
             out,
             Op::LayerNormRows { x, gamma, beta },
             rg,
             vec![xhat, inv_std],
+            classes,
         )
     }
 
@@ -654,8 +705,9 @@ impl Graph {
                 v.row_mut(i)[ca..].copy_from_slice(tb.row(i));
             }
         }
+        let classes = self.classes.pair(self.class(a), self.class(b));
         let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::ConcatCols(a, b), rg)
+        self.push_classed(v, Op::ConcatCols(a, b), rg, Vec::new(), classes)
     }
 
     /// Contiguous row slice `a[start .. start+len]`.
@@ -691,6 +743,9 @@ impl Graph {
 
     /// Row gather: output row `i` is input row `indices[i]` (embedding
     /// lookup). Indices may repeat; backward scatter-adds.
+    ///
+    /// The source of row classes: output rows are equal when they gather
+    /// the same row of `a`, or rows of one class of `a`.
     pub fn gather_rows(&mut self, a: Var, indices: &[usize]) -> Var {
         let (rows, c) = self.nodes[a.0].value.shape();
         let mut v = self.zeros(indices.len(), c);
@@ -701,8 +756,9 @@ impl Graph {
                 v.row_mut(i).copy_from_slice(ta.row(ix));
             }
         }
+        let classes = self.classes.gather(self.class(a), rows, indices);
         let rg = self.rg(a);
-        self.push(v, Op::Gather(a, indices.to_vec()), rg)
+        self.push_classed(v, Op::Gather(a, indices.to_vec()), rg, Vec::new(), classes)
     }
 
     /// Tiles a `1×c` row vector into an `n×c` matrix.
@@ -1239,7 +1295,7 @@ impl Graph {
 }
 
 /// Column sums of `g` into a pooled `1×c` row, accumulated row by row.
-fn col_sums(pool: &mut Pool, g: &Tensor) -> Tensor {
+fn col_sums(pool: &mut Pool<f32>, g: &Tensor) -> Tensor {
     let mut out = pool.zeros(1, g.cols());
     for r in 0..g.rows() {
         kernels::axpy(1.0, g.row(r), out.row_mut(0));
@@ -1593,8 +1649,8 @@ mod tests {
     #[test]
     fn alternating_pass_sizes_keep_the_arena_bounded() {
         let total = |g: &Graph| -> usize {
-            let classes = g.pool.classes.iter();
-            classes.map(|(cap, stack)| cap * stack.len()).sum()
+            let stacks = g.pool.stacks.iter();
+            stacks.map(|(cap, stack)| cap * stack.len()).sum()
         };
         let mut g = Graph::new();
         let mut totals = Vec::new();

@@ -21,6 +21,11 @@
 //! rounds twice, which would change the bits. Non-x86 targets always run
 //! the baseline arm. Nothing configures the choice.
 //!
+//! [`exp_in_place`], which the sigmoid and the tape's masked softmax use,
+//! is the one kernel with an FMA arm: it ports glibc's `expf`, whose own
+//! x86-64 build fuses multiply-adds on FMA CPUs, so fusing exactly where
+//! glibc does is what reproduces `f32::exp`'s bits there.
+//!
 //! # Bit-exactness contract
 //!
 //! Each kernel produces **bit-identical** results to the scalar reference
@@ -166,13 +171,197 @@ pub fn add_scalar(alpha: f32, x: &[f32], out: &mut [f32]) {
     map_unary(x, out, |v| v + alpha);
 }
 
-/// Logistic sigmoid `out = 1 / (1 + e^{-x})`.
+/// Logistic sigmoid `out = 1 / (1 + e^{-x})`, with `e^{-x}` from
+/// [`exp_in_place`] — the bits of `1.0 / (1.0 + (-x).exp())`.
 ///
 /// # Panics
 /// Panics on length mismatch.
 pub fn sigmoid(x: &[f32], out: &mut [f32]) {
     assert_eq!(x.len(), out.len(), "sigmoid length mismatch");
-    map_unary(x, out, |v| 1.0 / (1.0 + (-v).exp()));
+    map_unary(x, out, |v| -v);
+    exp_in_place(out);
+    for o in out.iter_mut() {
+        *o = 1.0 / (1.0 + *o);
+    }
+}
+
+/// `v[i] = e^{v[i]}`, bit-identical to [`f32::exp`].
+///
+/// On `x86_64-linux-gnu`, where `f32::exp` is glibc's `expf`, this runs a
+/// port of that `expf` whose loop vectorizes, with one arm per build that
+/// glibc's ifunc picks from (FMA and AVX2, or neither); elsewhere it calls
+/// [`f32::exp`] per element.
+pub fn exp_in_place(v: &mut [f32]) {
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+    expf::exp_in_place(expf::Arm::detect(), v);
+    #[cfg(not(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu")))]
+    for x in v {
+        *x = x.exp();
+    }
+}
+
+/// A port of glibc's `__expf` (`sysdeps/ieee754/flt-32/e_expf.c`, the
+/// 32-entry `__exp2f_data` table and a degree-3 polynomial evaluated in
+/// `f64`), so that a slice of exponentials vectorizes instead of making
+/// one libm call per element.
+///
+/// glibc's x86-64 ifunc picks between two builds of the same C source:
+/// `__expf_fma` when the CPU has FMA and AVX2, where the compiler fuses
+/// five multiply-adds, and the SSE2 build otherwise, where nothing is
+/// fused. The two differ on two of all `f32` inputs (`0x4202422f` and
+/// `0xc27c65d9`), so the port has the same two arms, picked by the same
+/// feature test: [`Arm::Fma`] with the five `mul_add`s in glibc's places,
+/// and [`Arm::Plain`] with the same operations in the same order, unfused.
+///
+/// Inputs with `|x| ≥ 88`, infinities and NaNs take glibc's special-case
+/// branch (overflow, underflow, `errno`); the port sends them to
+/// [`f32::exp`] instead, after one check over the whole slice, so the
+/// common all-finite slice runs a branch-free loop.
+#[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+pub(crate) mod expf {
+    /// `__exp2f_data.tab`: `tab[i] = bits(2^(i/32)) - (i << 47)`.
+    const TAB: [u64; 32] = [
+        0x3ff0000000000000,
+        0x3fefd9b0d3158574,
+        0x3fefb5586cf9890f,
+        0x3fef9301d0125b51,
+        0x3fef72b83c7d517b,
+        0x3fef54873168b9aa,
+        0x3fef387a6e756238,
+        0x3fef1e9df51fdee1,
+        0x3fef06fe0a31b715,
+        0x3feef1a7373aa9cb,
+        0x3feedea64c123422,
+        0x3feece086061892d,
+        0x3feebfdad5362a27,
+        0x3feeb42b569d4f82,
+        0x3feeab07dd485429,
+        0x3feea47eb03a5585,
+        0x3feea09e667f3bcd,
+        0x3fee9f75e8ec5f74,
+        0x3feea11473eb0187,
+        0x3feea589994cce13,
+        0x3feeace5422aa0db,
+        0x3feeb737b0cdc5e5,
+        0x3feec49182a3f090,
+        0x3feed503b23e255d,
+        0x3feee89f995ad3ad,
+        0x3feeff76f2fb5e47,
+        0x3fef199bdd85529c,
+        0x3fef3720dcef9069,
+        0x3fef5818dcfba487,
+        0x3fef7c97337b9b5f,
+        0x3fefa4afa2a490da,
+        0x3fefd0765b6e4540,
+    ];
+    /// `__exp2f_data.invln2_scaled`: `32 / ln 2`.
+    const INV_LN2_N: f64 = f64::from_bits(0x40471547652b82fe);
+    /// `__exp2f_data.shift`: `0x1.8p52`, rounds `z` to an integer in its
+    /// low mantissa bits.
+    const SHIFT: f64 = f64::from_bits(0x4338000000000000);
+    /// `__exp2f_data.poly_scaled`: the coefficients of `r³`, `r²` and `r`.
+    const C: [f64; 3] = [
+        f64::from_bits(0x3ebc6af84b912394),
+        f64::from_bits(0x3f2ebfce50fac4f3),
+        f64::from_bits(0x3f962e42ff0c52d6),
+    ];
+    /// `|x|` bits from which glibc takes its special-case branch:
+    /// `top12(88.0f)`, widened to the full word.
+    const SPECIAL_ABS_BITS: u32 = 0x42b0_0000;
+
+    /// Which build of glibc's `expf` the port reproduces.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum Arm {
+        /// The SSE2 build: no operation fused.
+        Plain,
+        /// The `__expf_fma` build. Only [`Arm::detect`] constructs it, after
+        /// the CPU reported FMA and AVX2.
+        Fma,
+    }
+
+    impl Arm {
+        /// The arm glibc's ifunc selects on the running CPU.
+        #[inline]
+        pub(crate) fn detect() -> Arm {
+            if std::arch::is_x86_feature_detected!("fma")
+                && std::arch::is_x86_feature_detected!("avx2")
+            {
+                Arm::Fma
+            } else {
+                Arm::Plain
+            }
+        }
+    }
+
+    /// `a·b + c`, fused on the FMA arm.
+    #[inline(always)]
+    fn madd<const FMA: bool>(a: f64, b: f64, c: f64) -> f64 {
+        if FMA {
+            a.mul_add(b, c)
+        } else {
+            a * b + c
+        }
+    }
+
+    /// `__expf`'s main path for a non-special `x` (`|x| < 88`).
+    #[inline(always)]
+    fn expf_core<const FMA: bool>(x: f32) -> f32 {
+        let xd = f64::from(x);
+        // x·32/ln2 = k + r with r in [-1/2, 1/2] and integer k.
+        let kd = madd::<FMA>(INV_LN2_N, xd, SHIFT);
+        let ki = kd.to_bits();
+        let kd = kd - SHIFT;
+        let r = madd::<FMA>(INV_LN2_N, xd, -kd);
+        // exp(x) = 2^(k/32) · 2^(r/32) ≈ s · (C0·r³ + C1·r² + C2·r + 1).
+        let t = TAB[(ki % 32) as usize].wrapping_add(ki << 47);
+        let s = f64::from_bits(t);
+        let z = madd::<FMA>(C[0], r, C[1]);
+        let r2 = r * r;
+        let y = madd::<FMA>(C[2], r, 1.0);
+        let y = madd::<FMA>(z, r2, y);
+        (y * s) as f32
+    }
+
+    /// Whether `x` takes glibc's special-case branch.
+    #[inline(always)]
+    fn special(x: f32) -> bool {
+        x.to_bits() & 0x7fff_ffff >= SPECIAL_ABS_BITS
+    }
+
+    /// `v[i] = e^{v[i]}` on one arm: a branch-free loop when no element is
+    /// special, else a per-element choice.
+    #[inline(always)]
+    fn exp_slice<const FMA: bool>(v: &mut [f32]) {
+        let max_abs = v.iter().fold(0, |m, &x| m.max(x.to_bits() & 0x7fff_ffff));
+        if max_abs < SPECIAL_ABS_BITS {
+            for x in v.iter_mut() {
+                *x = expf_core::<FMA>(*x);
+            }
+        } else {
+            for x in v.iter_mut() {
+                *x = if special(*x) {
+                    x.exp()
+                } else {
+                    expf_core::<FMA>(*x)
+                };
+            }
+        }
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    fn exp_slice_fma(v: &mut [f32]) {
+        exp_slice::<true>(v);
+    }
+
+    /// `v[i] = e^{v[i]}` on the given arm.
+    pub(crate) fn exp_in_place(arm: Arm, v: &mut [f32]) {
+        match arm {
+            Arm::Plain => exp_slice::<false>(v),
+            // SAFETY: `Arm::Fma` is only constructed by `Arm::detect` once
+            // the CPU has reported FMA and AVX2.
+            Arm::Fma => unsafe { exp_slice_fma(v) },
+        }
+    }
 }
 
 /// Hyperbolic tangent.
@@ -775,6 +964,129 @@ mod tests {
         sub(&x, &y, &mut out);
         let expect: Vec<f32> = x.iter().zip(&y).map(|(&a, &b)| a - b).collect();
         assert_eq!(bits(&out), bits(&expect));
+    }
+
+    /// The two inputs, among all `f32`, where glibc's unfused SSE2 `expf`
+    /// and its `__expf_fma` disagree.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+    const FMA_SENSITIVE: [u32; 2] = [0x4202_422f, 0xc27c_65d9];
+
+    /// Runs `arm` on `xs` and returns the bits of every input whose result
+    /// differs from `f32::exp`.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+    fn expf_mismatches(arm: expf::Arm, xs: &[f32], out: &mut Vec<f32>) -> Vec<u32> {
+        out.clear();
+        out.extend_from_slice(xs);
+        expf::exp_in_place(arm, out);
+        xs.iter()
+            .zip(out.iter())
+            .filter(|(x, y)| x.exp().to_bits() != y.to_bits())
+            .map(|(x, _)| x.to_bits())
+            .collect()
+    }
+
+    #[test]
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+    fn expf_port_matches_libm_on_sampled_and_pinned_inputs() {
+        let pinned: Vec<f32> = [
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            f32::from_bits(0x807f_ffff),
+            88.0,
+            -88.0,
+            f32::from_bits(0x42af_ffff), // the largest x below 88
+            f32::from_bits(0xc2af_ffff),
+            f32::from_bits(0x42b1_7217), // 0x1.62e42ep6: the overflow bound
+            f32::from_bits(0x42b1_7218),
+            f32::from_bits(0xc2cf_f1b4), // -0x1.9fe368p6: the underflow bound
+            f32::from_bits(0xc2cf_f1b5),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(FMA_SENSITIVE[0]),
+            f32::from_bits(FMA_SENSITIVE[1]),
+        ]
+        .to_vec();
+        // Every 4099th bit pattern: ~1M inputs across all exponents,
+        // signs, subnormals and NaN payloads. Slices mixing special and
+        // ordinary lanes take the per-element branch, all-ordinary ones
+        // the branch-free loop.
+        let sampled: Vec<f32> = (0..=u32::MAX).step_by(4099).map(f32::from_bits).collect();
+        let ordinary: Vec<f32> = sampled
+            .iter()
+            .copied()
+            .filter(|&x| x.abs() < 88.0)
+            .collect();
+        let mut out = Vec::new();
+        let detected = expf::Arm::detect();
+        for xs in [&pinned, &sampled, &ordinary] {
+            for chunk in xs.chunks(61) {
+                let bad = expf_mismatches(detected, chunk, &mut out);
+                assert!(
+                    bad.is_empty(),
+                    "{detected:?} differs from f32::exp at {bad:x?}"
+                );
+            }
+        }
+        // The pinned pair separates the arms: each arm gives glibc's bits
+        // for its own build, so on an FMA host the plain arm must miss
+        // exactly these two.
+        if detected == expf::Arm::Fma {
+            let bad = expf_mismatches(expf::Arm::Plain, &pinned, &mut out);
+            assert_eq!(bad, FMA_SENSITIVE);
+        }
+        // The public kernels run the detected arm.
+        let mut v = pinned.clone();
+        exp_in_place(&mut v);
+        assert_eq!(
+            bits(&v),
+            pinned.iter().map(|x| x.exp().to_bits()).collect::<Vec<_>>()
+        );
+    }
+
+    /// Every `f32`: the detected arm matches `f32::exp` bit for bit, and on
+    /// an FMA host the plain arm differs only at [`FMA_SENSITIVE`]. Slow in
+    /// debug builds; run with
+    /// `cargo test --release -p nasflat-tensor -- --ignored expf`.
+    #[test]
+    #[ignore = "exhaustive over 2^32 inputs; run in release"]
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", target_env = "gnu"))]
+    fn expf_port_matches_libm_on_every_f32() {
+        let detected = expf::Arm::detect();
+        let halves = [0u32, 1 << 31];
+        let results = std::thread::scope(|s| {
+            let handles = halves.map(|start| {
+                s.spawn(move || {
+                    let (mut xs, mut out) = (Vec::new(), Vec::new());
+                    let (mut bad, mut plain_bad, mut ordinary) = (Vec::new(), Vec::new(), 0u64);
+                    for chunk in 0..(1u32 << 15) {
+                        let base = start + (chunk << 16);
+                        xs.clear();
+                        xs.extend((0..1u32 << 16).map(|i| f32::from_bits(base + i)));
+                        ordinary += xs.iter().filter(|x| x.abs() < 88.0).count() as u64;
+                        bad.extend(expf_mismatches(detected, &xs, &mut out));
+                        if detected == expf::Arm::Fma {
+                            plain_bad.extend(expf_mismatches(expf::Arm::Plain, &xs, &mut out));
+                        }
+                    }
+                    (bad, plain_bad, ordinary)
+                })
+            });
+            handles.map(|h| h.join().expect("worker panicked"))
+        });
+        let ordinary: u64 = results.iter().map(|r| r.2).sum();
+        assert_eq!(ordinary, 2_237_661_184, "inputs with |x| < 88");
+        let bad: Vec<u32> = results.iter().flat_map(|r| r.0.clone()).collect();
+        assert!(
+            bad.is_empty(),
+            "{detected:?} differs from f32::exp at {bad:x?}"
+        );
+        if detected == expf::Arm::Fma {
+            let plain_bad: Vec<u32> = results.iter().flat_map(|r| r.1.clone()).collect();
+            assert_eq!(plain_bad, FMA_SENSITIVE);
+        }
     }
 
     #[test]

@@ -49,14 +49,17 @@
 #![warn(missing_docs)]
 
 pub mod batched;
+mod classes;
 mod graph;
 pub mod kernels;
 mod layers;
 mod loss;
 mod params;
+mod pool;
 mod serialize;
 mod tensor;
 
+pub use classes::RowCounts;
 pub use graph::{Graph, Var};
 pub use layers::{Activation, Embedding, LayerNorm, Linear, Mlp};
 pub use loss::{mse_loss, mse_loss_stacked, pairwise_hinge_loss, pairwise_hinge_loss_stacked};

@@ -7,6 +7,8 @@
 //! heap allocations that the third pass's `Graph::backward` makes on this
 //! thread: first-touch gradients, backward temporaries and the `matmul_nt`
 //! transpose scratch all come from the tape's pool, so there must be none.
+//! The forward pass's row classes come from the tape too, so a steady-state
+//! forward makes only the pinned allocations of the lists it builds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -93,6 +95,13 @@ fn params() -> Params {
     Params { store, ids }
 }
 
+/// Allocations of a steady-state [`forward`]: the op index list and the
+/// two buffers of the propagation constant that it builds, the lists the
+/// gather, block-mean and sum nodes keep, and LayerNorm's `aux` vector.
+/// Values, row classes and the tables that find them all come from the
+/// tape's pools.
+const FORWARD_ALLOCS: usize = 7;
+
 /// One forward pass touching every predictor op; returns the scalar loss.
 fn forward(g: &mut Graph, p: &Params) -> Var {
     let rows = BLOCKS * N;
@@ -148,15 +157,22 @@ fn steady_state_backward_makes_no_allocations() {
     let p = params();
     let mut g = Graph::new();
     let mut counts = Vec::new();
+    let mut forward_counts = Vec::new();
     for _ in 0..3 {
         g.clear();
+        let before = allocs();
         let loss = forward(&mut g, &p);
+        forward_counts.push(allocs() - before);
         let before = allocs();
         g.backward(loss);
         counts.push(allocs() - before);
     }
     assert!(counts[0] > 0, "the counting allocator saw nothing");
     assert_eq!(counts[2], 0, "backward allocations per pass: {counts:?}");
+    assert_eq!(
+        forward_counts[2], FORWARD_ALLOCS,
+        "forward allocations per pass: {forward_counts:?}"
+    );
 }
 
 #[test]
