@@ -15,9 +15,10 @@
 //! | `NASFLAT_BENCH_TRIALS=n` | override trial count |
 //! | `NASFLAT_THREADS=n` | thread budget of the parallel execution layer |
 //!
-//! The [`parallel_harness`] module additionally provides the quick-mode
-//! 1-vs-N-thread comparison behind `BENCH_parallel.json` and the CI
-//! `bench-quick` gate.
+//! The [`parallel_harness`] module additionally provides the `parallel`
+//! bench's two checks: 1-vs-N-thread scaling of `ensemble_train_transfer`
+//! and `batch_predict`, and the scalar-vs-tiled kernel micro-bench. Both
+//! land in `BENCH_parallel.json` for the CI `bench-quick` gate.
 
 #![warn(missing_docs)]
 

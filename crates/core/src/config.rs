@@ -3,8 +3,9 @@
 //! Defaults follow the paper's Table 20 (found there with 80 Optuna
 //! iterations). [`PredictorConfig::quick`] is a reduced-budget profile for
 //! CPU-only test/bench runs; it keeps every architectural feature but shrinks
-//! widths and epochs (EXPERIMENTS.md records which profile produced which
-//! numbers).
+//! widths and epochs. The paper-table benches (`crates/bench`) run the quick
+//! profile unless `NASFLAT_BENCH_PAPER=1` selects [`PredictorConfig::paper`]
+//! (README, "Build, test, bench").
 
 use nasflat_encode::EncodingKind;
 use nasflat_tensor::{ByteReader, ByteWriter, WireError};

@@ -7,14 +7,11 @@
 //! pulling in [rayon](https://crates.io/crates/rayon):
 //!
 //! - [`par_map`] / [`par_map_mut`] / [`par_map_range`]: parallel map with
-//!   results **always in input order**,
-//! - [`par_for_each`]: parallel side-effecting iteration,
+//!   results **always in input order**, bounded by [`current_threads`]
+//!   (the `NASFLAT_THREADS` environment variable, default
+//!   [`std::thread::available_parallelism`]); [`par_map_with`] takes an
+//!   explicit bound,
 //! - [`par_chunks`]: parallel map over fixed-size chunks,
-//! - [`join`]: run two closures concurrently,
-//! - [`par_map_reduce`]: parallel map + **sequential in-order fold**,
-//! - [`ThreadPool`]: a bounded concurrency policy, sized by the
-//!   `NASFLAT_THREADS` environment variable (default:
-//!   [`std::thread::available_parallelism`]),
 //! - [`WorkerSet`]: **long-lived** named worker threads for always-on
 //!   services (the serving layer's TCP ingress loop), with the same
 //!   nested-serialization and panic-propagation guarantees.
@@ -25,11 +22,11 @@
 //! pass pure per-item closures, items are partitioned into contiguous chunks,
 //! and results are reassembled in input order. Reductions never combine
 //! partial per-thread accumulators (which would make float sums depend on
-//! chunk boundaries); [`par_map_reduce`] folds the mapped results
-//! sequentially in input order instead. Consequently a workload run under
+//! chunk boundaries); callers fold the mapped results sequentially in input
+//! order instead. Consequently a workload run under
 //! [`with_threads`]`(1, …)` and `with_threads(64, …)` produces identical
-//! bytes — the property the determinism suite and the `bench-quick` CI gate
-//! assert.
+//! bytes — the property the determinism suites assert at 1, 2 and 8
+//! threads, and the `parallel` bench re-checks at 1 and 4.
 //!
 //! # Thread-count resolution
 //!
@@ -48,7 +45,6 @@
 //! (non-`'static`) data flows into workers without `Arc`. Spawn cost is a
 //! few microseconds per worker — negligible against the millisecond-scale
 //! items (predictor forwards, training epochs) this workspace parallelizes.
-//! [`ThreadPool`] bounds concurrency; it does not keep idle threads alive.
 //!
 //! This crate is one of the repository's performance layers — see
 //! `ARCHITECTURE.md` at the workspace root for how it composes with the
@@ -163,7 +159,7 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 /// How many workers to actually spawn for `len` items under `threads`.
 /// Inside a worker this always collapses to 1, so the nested-serialization
 /// invariant holds on every entry point — including explicit-budget calls
-/// like [`par_map_with`] and [`ThreadPool::par_map`].
+/// like [`par_map_with`].
 fn plan(threads: usize, len: usize) -> usize {
     if IN_WORKER.get() {
         return 1;
@@ -173,7 +169,7 @@ fn plan(threads: usize, len: usize) -> usize {
 
 /// Parallel map over a slice with an explicit thread budget; results are in
 /// input order. Prefer [`par_map`] (which respects [`current_threads`])
-/// unless you hold a [`ThreadPool`].
+/// unless the caller owns its own bound.
 pub fn par_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -292,17 +288,6 @@ where
     out
 }
 
-/// Parallel side-effecting iteration. `f` must be safe to run concurrently
-/// on distinct items (it only gets `&T`); completion of this call is a
-/// barrier — every item has been visited when it returns.
-pub fn par_for_each<T, F>(items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    let _: Vec<()> = par_map(items, |t| f(t));
-}
-
 /// Parallel map over fixed-size chunks of `items` (the last chunk may be
 /// shorter). Chunk boundaries are set by `chunk_size` — *not* by the thread
 /// count — so outputs are identical at any parallelism.
@@ -318,47 +303,6 @@ where
     assert!(chunk_size > 0, "chunk_size must be positive");
     let chunks: Vec<&[T]> = items.chunks(chunk_size).collect();
     par_map(&chunks, |c| f(c))
-}
-
-/// Runs `a` and `b` concurrently (when more than one thread is available)
-/// and returns `(a(), b())` — the tuple order never depends on which
-/// finishes first. `b` runs on the calling thread.
-pub fn join<RA, RB, A, B>(a: A, b: B) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-{
-    if current_threads() <= 1 {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
-    std::thread::scope(|s| {
-        let ha = s.spawn(move || {
-            IN_WORKER.set(true);
-            a()
-        });
-        let rb = b();
-        match ha.join() {
-            Ok(ra) => (ra, rb),
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
-    })
-}
-
-/// Parallel map followed by a **sequential fold in input order**. The fold
-/// never sees thread-dependent partial sums, so non-associative operations
-/// (notably float addition) give bit-identical results at any thread count.
-pub fn par_map_reduce<T, R, A, M, F>(items: &[T], map: M, init: A, mut fold: F) -> A
-where
-    T: Sync,
-    R: Send,
-    M: Fn(&T) -> R + Sync,
-    F: FnMut(A, R) -> A,
-{
-    par_map(items, map).into_iter().fold(init, &mut fold)
 }
 
 /// A set of **long-lived** worker threads — the lifecycle layer behind
@@ -466,53 +410,6 @@ impl WorkerSet {
     }
 }
 
-/// A bounded concurrency policy: combinators invoked through it (or inside
-/// [`ThreadPool::install`]) spawn at most [`ThreadPool::threads`] workers.
-///
-/// Workers are scoped per call — the pool stores no threads, only the bound —
-/// so a `ThreadPool` is `Copy` and costs nothing to keep around.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThreadPool {
-    threads: usize,
-}
-
-impl ThreadPool {
-    /// A pool bounded to `threads` workers (clamped to at least 1).
-    pub fn new(threads: usize) -> Self {
-        ThreadPool {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The process-default pool, sized by `NASFLAT_THREADS` /
-    /// [`std::thread::available_parallelism`] (see [`max_threads`]).
-    pub fn global() -> Self {
-        ThreadPool::new(max_threads())
-    }
-
-    /// The concurrency bound.
-    pub fn threads(self) -> usize {
-        self.threads
-    }
-
-    /// Runs `f` with this pool's bound as the calling thread's parallelism
-    /// (like rayon's `install`): every `par_*` call inside `f` uses at most
-    /// [`ThreadPool::threads`] workers.
-    pub fn install<R>(self, f: impl FnOnce() -> R) -> R {
-        with_threads(self.threads, f)
-    }
-
-    /// [`par_map`] bounded by this pool.
-    pub fn par_map<T, R, F>(self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        par_map_with(self.threads, items, f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,22 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn par_map_reduce_fold_order_is_sequential() {
-        // Division is non-associative and non-commutative: only a strict
-        // in-input-order fold gives the same bits at every thread count.
-        let items: Vec<f64> = (1..200).map(|i| i as f64).collect();
-        let run = |threads| {
-            with_threads(threads, || {
-                par_map_reduce(&items, |&x| x.sqrt(), 1.0f64, |acc, x| acc / 2.0 + x)
-            })
-        };
-        let seq = run(1);
-        for threads in [2, 7, 32] {
-            assert_eq!(seq.to_bits(), run(threads).to_bits());
-        }
-    }
-
-    #[test]
     fn par_map_mut_gives_each_item_exclusive_access() {
         let mut items: Vec<u64> = (0..100).collect();
         let out = with_threads(8, || {
@@ -582,17 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn par_for_each_visits_every_item_exactly_once() {
-        let counters: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-        with_threads(8, || {
-            par_for_each(&counters, |c| {
-                c.fetch_add(1, Ordering::Relaxed);
-            })
-        });
-        assert!(counters.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn par_chunks_boundaries_follow_chunk_size_not_threads() {
         let items: Vec<u32> = (0..103).collect();
         let expect: Vec<u32> = items.chunks(10).map(|c| c.iter().sum()).collect();
@@ -601,14 +471,6 @@ mod tests {
                 par_chunks(&items, 10, |c| c.iter().sum::<u32>())
             });
             assert_eq!(out, expect);
-        }
-    }
-
-    #[test]
-    fn join_returns_results_in_closure_order() {
-        for threads in [1, 4] {
-            let (a, b) = with_threads(threads, || join(|| "left", || "right"));
-            assert_eq!((a, b), ("left", "right"));
         }
     }
 
@@ -639,25 +501,13 @@ mod tests {
     }
 
     #[test]
-    fn thread_pool_bounds_and_installs() {
-        let pool = ThreadPool::new(3);
-        assert_eq!(pool.threads(), 3);
-        assert_eq!(ThreadPool::new(0).threads(), 1);
-        assert!(ThreadPool::global().threads() >= 1);
-        let inside = pool.install(current_threads);
-        assert_eq!(inside, 3);
-        let out = pool.par_map(&[1, 2, 3], |&x| x + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-    }
-
-    #[test]
     fn explicit_pool_calls_also_serialize_inside_workers() {
-        // ThreadPool::par_map / par_map_with take an explicit budget, but
-        // the nested-serialization invariant must still hold inside workers.
+        // par_map_with takes an explicit budget, but the
+        // nested-serialization invariant must still hold inside workers.
         let outer: Vec<usize> = (0..4).collect();
         let nested_lens: Vec<usize> = with_threads(4, || {
             par_map(&outer, |_| {
-                let inner = ThreadPool::new(8).par_map(&[1, 2, 3], |&x| x);
+                let inner = par_map_with(8, &[1, 2, 3], |&x| x);
                 assert_eq!(inner, vec![1, 2, 3]);
                 // Observable proxy for "no extra workers": plan() collapses.
                 super::plan(8, 3)

@@ -83,8 +83,8 @@ pub struct ServeConfig {
     /// Whether the [`Telemetry`](crate::Telemetry) layer records: per-stage
     /// latency histograms, size histograms, gauges, and request traces.
     /// Telemetry never changes served bytes either way — disabling it only
-    /// skips the atomic bookkeeping (the `telemetry_overhead` bench
-    /// baseline). The `METRICS` endpoint stays up regardless; with
+    /// skips the atomic bookkeeping. The `METRICS` endpoint stays up
+    /// regardless; with
     /// telemetry off its histogram families read zero while the ingress
     /// ledger and registry counters stay live.
     pub telemetry: bool,

@@ -55,8 +55,8 @@
 //!   ([`IngressClient::metrics`]), answered inline by the connection
 //!   reader so it can never deadlock behind a full queue. Recording is
 //!   all relaxed atomics with no floats — bit-invisible to every
-//!   determinism suite, and gated overhead-neutral by the
-//!   `telemetry_overhead` bench entry.
+//!   determinism suite; perfbench's traced run reports its cost
+//!   (`trace.overhead_ratio`).
 //!
 //! One request/response pair spans all of it: in-process callers hand
 //! [`ServeRequest`]s to [`PredictorRegistry::serve_one`] /
@@ -73,8 +73,8 @@
 //! sequential [`LatencyPredictor::predict`] loop at any worker count, batch
 //! size, connection count, and arrival order. The serving and ingress test
 //! suites pin mixed-model, mixed-device streams against the sequential
-//! reference, and the `serve_throughput` / `serve_ingress` bench entries
-//! gate their speedups with the same bitwise comparison.
+//! reference, and the workspace fingerprint (`tests/fingerprint.rs`) pins
+//! the served bits from one commit to the next.
 //!
 //! # Example
 //!

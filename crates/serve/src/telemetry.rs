@@ -26,9 +26,9 @@
 //!
 //! The histograms and traces can be disabled ([`Telemetry::disabled`], or
 //! `telemetry(false)` on the config builder): their record calls
-//! early-return, which is what the `telemetry_overhead` bench entry
-//! compares against to pin the enabled path overhead-neutral. The ledger
-//! counts either way; in-process drains run on a disabled bundle and read
+//! early-return; perfbench's traced `serve_mixed` run reports what the
+//! enabled path costs (`trace.overhead_ratio`). The ledger counts either
+//! way; in-process drains run on a disabled bundle and read
 //! their [`ServeMetrics`] off it.
 //!
 //! Rendering is Prometheus-style text exposition: histograms emit
@@ -338,8 +338,8 @@ impl Telemetry {
     }
 
     /// A ledger-only bundle: histogram and trace record calls early-return
-    /// and their snapshots stay empty, while the ledger still counts. The
-    /// `telemetry_overhead` bench baseline serves through this, and every
+    /// and their snapshots stay empty, while the ledger still counts. A
+    /// server built with `telemetry(false)` serves through this, and every
     /// in-process drain records into a fresh one.
     pub fn disabled() -> Self {
         Telemetry {
