@@ -269,6 +269,23 @@ impl Profile {
     }
 }
 
+/// Vocabulary ids the kernel-quirk table covers: enough for both spaces
+/// (NB201 has 7, FBNet 11).
+const QUIRK_SLOTS: usize = 11;
+
+/// Kernel-selection quirk: a deterministic multiplier on the *fixed* cost
+/// of an op (overhead + occupancy floor) that depends on the device class
+/// and the op's vocabulary id. This models compiler/kernel-library
+/// fingerprints: all batch-1 GPUs pick the same cuDNN algorithms (high
+/// mutual correlation) whose small-batch cost is only weakly related to
+/// FLOPs (low correlation with large-batch or flops-bound devices).
+fn op_quirk(class: DeviceClass, seed: u64, vocab_id: usize) -> f64 {
+    let class_seed = fnv1a(class.label().as_bytes());
+    let shared = lognormal_jitter(combine(class_seed, vocab_id as u64), 0.30);
+    let per_dev = lognormal_jitter(combine(seed, vocab_id as u64 ^ 0xA5A5), 0.08);
+    shared * per_dev
+}
+
 /// One entry of the device roster.
 #[derive(Debug, Clone)]
 pub struct Device {
@@ -278,6 +295,10 @@ pub struct Device {
     batch: u32,
     profile: Profile,
     seed: u64,
+    /// `op_quirk` per vocabulary id, derived once here so the simulator
+    /// looks each node's quirk up instead of re-deriving it per
+    /// (device, architecture) pair.
+    quirks: [f64; QUIRK_SLOTS],
 }
 
 impl Device {
@@ -301,6 +322,7 @@ impl Device {
             batch,
             profile,
             seed,
+            quirks: std::array::from_fn(|v| op_quirk(class, seed, v)),
         }
     }
 
@@ -332,6 +354,11 @@ impl Device {
     /// Stable per-device seed (keys measurement noise).
     pub fn seed(&self) -> u64 {
         self.seed
+    }
+
+    /// Kernel-selection quirk of vocabulary id `vocab_id` on this device.
+    pub(crate) fn quirk(&self, vocab_id: usize) -> f64 {
+        self.quirks[vocab_id]
     }
 }
 
@@ -559,6 +586,35 @@ mod tests {
         );
         // jitter is ±~20%, int8 multiplies by 2.5; so this is robustly larger
         assert!(dev.profile().eff > 1.5 * base.eff);
+    }
+
+    #[test]
+    fn quirk_table_covers_both_vocabularies() {
+        assert!(Space::Nb201.vocab_size() <= QUIRK_SLOTS);
+        assert_eq!(Space::Fbnet.vocab_size(), QUIRK_SLOTS);
+    }
+
+    #[test]
+    fn quirk_table_equals_the_per_node_formula() {
+        // The formula the simulator evaluated per graph node before the
+        // table existed, kept verbatim.
+        fn op_quirk(device: &Device, vocab_id: usize) -> f64 {
+            let class_seed = fnv1a(device.class().label().as_bytes());
+            let shared = lognormal_jitter(combine(class_seed, vocab_id as u64), 0.30);
+            let per_dev = lognormal_jitter(combine(device.seed(), vocab_id as u64 ^ 0xA5A5), 0.08);
+            shared * per_dev
+        }
+        let (nb, fb) = (DeviceRegistry::nb201(), DeviceRegistry::fbnet());
+        for d in nb.devices().iter().chain(fb.devices()) {
+            for v in 0..QUIRK_SLOTS {
+                assert_eq!(
+                    d.quirk(v).to_bits(),
+                    op_quirk(d, v).to_bits(),
+                    "{} vocab {v}",
+                    d.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::device::{Device, DeviceClass};
 use crate::rng::{combine, lognormal_jitter};
-use crate::sim::latency_clean_ms;
+use crate::sim::{clean_ms, PreparedArch};
 use nasflat_space::Arch;
 
 /// Class-level power envelope: (static watts, picojoules per MAC,
@@ -40,6 +40,11 @@ fn class_power(class: DeviceClass) -> (f64, f64, f64) {
 /// [`latency_clean_ms`](crate::latency_clean_ms), which supplies the static
 /// term's integration time.
 pub fn energy_clean_mj(device: &Device, arch: &Arch) -> f64 {
+    clean_mj(device, &PreparedArch::new(arch))
+}
+
+/// [`energy_clean_mj`] of a prepared architecture.
+fn clean_mj(device: &Device, arch: &PreparedArch) -> f64 {
     let (static_w, pj_mac, pj_mem) = class_power(device.class());
     // per-device jitter, keyed separately from the latency profile
     let jitter =
@@ -48,17 +53,16 @@ pub fn energy_clean_mj(device: &Device, arch: &Arch) -> f64 {
     let pj_mac = pj_mac * jitter(2, 0.10);
     let pj_mem = pj_mem * jitter(3, 0.08);
 
-    let profile = arch.cost_profile();
     let b = device.batch() as f64;
-    let t_ms = latency_clean_ms(device, arch);
+    let t_ms = clean_ms(device, arch);
     // static: W * ms = mJ;  dynamic: pJ * count = 1e-9 mJ
-    static_w * t_ms + (pj_mac * profile.total_flops * b + pj_mem * profile.total_mem * b) * 1e-9
+    static_w * t_ms + (pj_mac * arch.total_flops * b + pj_mem * arch.total_mem * b) * 1e-9
 }
 
 /// Measured energy in millijoules: deterministic lognormal noise keyed by
 /// (device, architecture), mirroring [`latency_ms`](crate::latency_ms).
 pub fn energy_mj(device: &Device, arch: &Arch) -> f64 {
-    let clean = energy_clean_mj(device, arch);
+    let clean = clean_mj(device, &PreparedArch::new(arch));
     let mut bytes = vec![0xEEu8];
     bytes.extend_from_slice(arch.genotype());
     let noise = lognormal_jitter(
@@ -77,6 +81,7 @@ pub fn measure_energy_all(device: &Device, archs: &[Arch]) -> Vec<f32> {
 mod tests {
     use super::*;
     use crate::device::DeviceRegistry;
+    use crate::sim::latency_clean_ms;
     use nasflat_space::Space;
 
     fn archs(n: usize) -> Vec<Arch> {

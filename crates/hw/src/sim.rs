@@ -9,27 +9,38 @@
 //!   depthwise penalties),
 //! - a **memory** term `mem·batch / mem_bw` (dominates small CPUs).
 //!
-//! Whole-network latency blends the serial sum with the critical path
-//! according to the device's branch parallelism, applies operator-fusion
-//! discounts along unary chains, and multiplies deterministic lognormal
-//! measurement noise keyed by (device, architecture).
+//! The fixed cost of each op carries a kernel-selection quirk per device
+//! class and vocabulary id. Whole-network latency blends the serial sum
+//! with the critical path according to the device's branch parallelism,
+//! applies operator-fusion discounts along unary chains, and multiplies
+//! deterministic lognormal measurement noise keyed by (device,
+//! architecture).
+//!
+//! # Two halves, one body
+//!
+//! Everything that depends on the architecture alone is built once per
+//! architecture as a [`PreparedArch`]: per node its vocabulary id, op
+//! descriptor and cost; predecessor lists in index order (CSR); the nodes
+//! operator fusion applies to; the noise hash; and the whole-network
+//! totals the energy model reads. Everything that depends on the device
+//! alone is built once in [`Device::new`]: its jittered profile and its
+//! quirk per vocabulary id. What remains per (device, architecture) pair is
+//! the arithmetic in `clean_ms` and `measured_ms` — the one body behind
+//! [`latency_clean_ms`], [`latency_ms`], [`measure_all`] and
+//! [`LatencyTable::build`], which loops architecture-major so each
+//! architecture is prepared once for all devices.
+//!
+//! That arithmetic performs every `f64` operation in the order the
+//! per-pair formula always has (per-node times in node order, the serial
+//! sum as one sequential fold, each critical-path `max` over predecessors
+//! in index order), so every latency is bit-identical to the unsplit
+//! formula. Latencies feed the tables every task, predictor and benchmark
+//! trains on, so moving a single bit would move every downstream number;
+//! `crates/hw/tests/sim_oracle.rs` pins the equality.
 
 use crate::device::Device;
 use crate::rng::{combine, fnv1a, lognormal_jitter};
-use nasflat_space::{Arch, OpKind};
-
-/// Kernel-selection quirk: a deterministic multiplier on the *fixed* cost
-/// of an op (overhead + occupancy floor) that depends on the device class
-/// and the op's vocabulary id. This models compiler/kernel-library
-/// fingerprints: all batch-1 GPUs pick the same cuDNN algorithms (high
-/// mutual correlation) whose small-batch cost is only weakly related to
-/// FLOPs (low correlation with large-batch or flops-bound devices).
-fn op_quirk(device: &Device, vocab_id: usize) -> f64 {
-    let class_seed = fnv1a(device.class().label().as_bytes());
-    let shared = lognormal_jitter(combine(class_seed, vocab_id as u64), 0.30);
-    let per_dev = lognormal_jitter(combine(device.seed(), vocab_id as u64 ^ 0xA5A5), 0.08);
-    shared * per_dev
-}
+use nasflat_space::{Arch, OpCost, OpDesc, OpKind};
 
 /// Stable hash of an architecture (keys measurement noise).
 fn arch_hash(arch: &Arch) -> u64 {
@@ -42,23 +53,116 @@ fn arch_hash(arch: &Arch) -> u64 {
     fnv1a(&bytes)
 }
 
-/// Noise-free latency in milliseconds.
-pub fn latency_clean_ms(device: &Device, arch: &Arch) -> f64 {
-    let graph = arch.to_graph();
-    let prof = arch.cost_profile();
+/// Graph nodes of the largest architecture either space builds (FBNet's
+/// 22 blocks plus INPUT and OUTPUT), so a pair's per-node times live on the
+/// stack.
+const MAX_NODES: usize = 24;
+
+/// One graph node as the simulator reads it.
+struct SimNode {
+    vocab_id: usize,
+    desc: OpDesc,
+    cost: OpCost,
+}
+
+/// An architecture prepared for the simulator: everything the per-pair
+/// arithmetic reads that does not depend on the device.
+pub(crate) struct PreparedArch {
+    /// Per graph node, in node order.
+    nodes: Vec<SimNode>,
+    /// Node `j`'s predecessors are `preds[pred_start[j]..pred_start[j + 1]]`,
+    /// in index order.
+    pred_start: Vec<usize>,
+    preds: Vec<usize>,
+    /// Nodes whose dispatch overhead operator fusion discounts, in index
+    /// order: a fusable op whose single predecessor is a fusable op that
+    /// feeds only it.
+    fused: Vec<usize>,
+    /// Keys the measurement noise.
+    hash: u64,
+    /// Whole-network FLOPs.
+    pub(crate) total_flops: f64,
+    /// Whole-network activation traffic.
+    pub(crate) total_mem: f64,
+}
+
+impl PreparedArch {
+    pub(crate) fn new(arch: &Arch) -> Self {
+        let graph = arch.to_graph();
+        let prof = arch.cost_profile();
+        let space = arch.space();
+        let n = graph.num_nodes();
+        assert!(
+            n <= MAX_NODES,
+            "{n} graph nodes exceed the simulator's {MAX_NODES}"
+        );
+        let nodes: Vec<SimNode> = graph
+            .ops()
+            .iter()
+            .zip(&prof.node_costs)
+            .map(|(&vocab_id, &cost)| SimNode {
+                vocab_id,
+                desc: space.op_desc(vocab_id),
+                cost,
+            })
+            .collect();
+        let mut pred_start = Vec::with_capacity(n + 1);
+        let mut preds = Vec::new();
+        let mut succ_count = vec![0usize; n];
+        pred_start.push(0);
+        for j in 0..n {
+            for (i, succs) in succ_count.iter_mut().enumerate() {
+                if graph.adj(i, j) != 0.0 {
+                    preds.push(i);
+                    *succs += 1;
+                }
+            }
+            pred_start.push(preds.len());
+        }
+        let fusable = |k: OpKind| {
+            matches!(
+                k,
+                OpKind::Conv | OpKind::Block | OpKind::Pool | OpKind::Skip
+            )
+        };
+        let fused = (0..n)
+            .filter(|&j| {
+                let p = &preds[pred_start[j]..pred_start[j + 1]];
+                p.len() == 1
+                    && succ_count[p[0]] == 1
+                    && fusable(nodes[p[0]].desc.kind)
+                    && fusable(nodes[j].desc.kind)
+            })
+            .collect();
+        PreparedArch {
+            nodes,
+            pred_start,
+            preds,
+            fused,
+            hash: arch_hash(arch),
+            total_flops: prof.total_flops,
+            total_mem: prof.total_mem,
+        }
+    }
+
+    fn preds(&self, j: usize) -> &[usize] {
+        &self.preds[self.pred_start[j]..self.pred_start[j + 1]]
+    }
+}
+
+/// Noise-free latency of a prepared architecture, in milliseconds.
+pub(crate) fn clean_ms(device: &Device, arch: &PreparedArch) -> f64 {
     let p = device.profile();
     let b = device.batch() as f64;
-    let n = graph.num_nodes();
-    let space = arch.space();
+    let n = arch.nodes.len();
 
     // Per-node time.
-    let mut t = vec![0.0f64; n];
-    for (i, ti) in t.iter_mut().enumerate() {
-        let vocab_id = graph.ops()[i];
-        let desc = space.op_desc(vocab_id);
-        let c = prof.node_costs[i];
+    let mut times = [0.0f64; MAX_NODES];
+    let t = &mut times[..n];
+    for (ti, node) in t.iter_mut().zip(&arch.nodes) {
+        let (desc, c) = (&node.desc, &node.cost);
         let mem_time = c.mem * b / p.mem_bw;
-        let quirk = op_quirk(device, vocab_id);
+        let quirk = device.quirk(node.vocab_id);
         *ti = match desc.kind {
             OpKind::Input | OpKind::Output | OpKind::None => 0.0,
             OpKind::Skip => p.overhead * p.skip_affinity * quirk + mem_time,
@@ -84,42 +188,20 @@ pub fn latency_clean_ms(device: &Device, arch: &Arch) -> f64 {
         };
     }
 
-    // Operator fusion: a node whose single predecessor feeds only it can be
-    // fused by the compiler, recovering part of its dispatch overhead.
-    for (j, tj) in t.iter_mut().enumerate() {
-        let preds = graph.preds(j);
-        if preds.len() != 1 {
-            continue;
-        }
-        let u = preds[0];
-        if graph.succs(u).len() != 1 {
-            continue;
-        }
-        let ku = space.op_desc(graph.ops()[u]).kind;
-        let kj = space.op_desc(graph.ops()[j]).kind;
-        let fusable = |k: OpKind| {
-            matches!(
-                k,
-                OpKind::Conv | OpKind::Block | OpKind::Pool | OpKind::Skip
-            )
-        };
-        if fusable(ku) && fusable(kj) {
-            *tj = (*tj - p.fusion_discount * p.overhead).max(0.0);
-        }
+    // Operator fusion recovers part of a fused node's dispatch overhead.
+    for &j in &arch.fused {
+        t[j] = (t[j] - p.fusion_discount * p.overhead).max(0.0);
     }
 
-    // Serial sum vs critical path, blended by branch parallelism.
+    // Serial sum vs critical path, blended by branch parallelism. The
+    // critical-path distances overwrite the node times in place: node `j`
+    // reads only its predecessors, which come before it.
     let serial: f64 = t.iter().sum();
-    let mut dist = vec![0.0f64; n];
     for j in 0..n {
-        let best = graph
-            .preds(j)
-            .iter()
-            .map(|&i| dist[i])
-            .fold(0.0f64, f64::max);
-        dist[j] = best + t[j];
+        let best = arch.preds(j).iter().map(|&i| t[i]).fold(0.0f64, f64::max);
+        t[j] += best;
     }
-    let critical = dist[n - 1];
+    let critical = t[n - 1];
     let body = p.branch_parallelism * critical + (1.0 - p.branch_parallelism) * serial;
 
     // Fixed stem + classifier cost.
@@ -129,15 +211,25 @@ pub fn latency_clean_ms(device: &Device, arch: &Arch) -> f64 {
     body + base
 }
 
-/// Measured latency in milliseconds: the clean latency with deterministic
-/// lognormal measurement noise (same (device, arch) → same value).
-pub fn latency_ms(device: &Device, arch: &Arch) -> f64 {
-    let clean = latency_clean_ms(device, arch);
+/// [`clean_ms`] with the pair's deterministic lognormal measurement noise.
+fn measured_ms(device: &Device, arch: &PreparedArch) -> f64 {
+    let clean = clean_ms(device, arch);
     let noise = lognormal_jitter(
-        combine(device.seed(), arch_hash(arch)),
+        combine(device.seed(), arch.hash),
         device.profile().noise_sigma,
     );
     clean * noise
+}
+
+/// Noise-free latency in milliseconds.
+pub fn latency_clean_ms(device: &Device, arch: &Arch) -> f64 {
+    clean_ms(device, &PreparedArch::new(arch))
+}
+
+/// Measured latency in milliseconds: the clean latency with deterministic
+/// lognormal measurement noise (same (device, arch) → same value).
+pub fn latency_ms(device: &Device, arch: &Arch) -> f64 {
+    measured_ms(device, &PreparedArch::new(arch))
 }
 
 /// Measures a batch of architectures on one device.
@@ -155,10 +247,20 @@ pub struct LatencyTable {
 }
 
 impl LatencyTable {
-    /// Measures every architecture on every device.
+    /// Measures every architecture on every device, preparing each
+    /// architecture once for all devices.
     pub fn build(devices: &[Device], archs: &[Arch]) -> Self {
         let device_names = devices.iter().map(|d| d.name().to_string()).collect();
-        let rows = devices.iter().map(|d| measure_all(d, archs)).collect();
+        let mut rows: Vec<Vec<f32>> = devices
+            .iter()
+            .map(|_| Vec::with_capacity(archs.len()))
+            .collect();
+        for arch in archs {
+            let arch = PreparedArch::new(arch);
+            for (row, device) in rows.iter_mut().zip(devices) {
+                row.push(measured_ms(device, &arch) as f32);
+            }
+        }
         LatencyTable { device_names, rows }
     }
 

@@ -49,8 +49,12 @@
 //! `f32` bits:
 //!
 //! - [`Graph::gather_rows`] is the source: rows gathered from one row (or
-//!   from one class of a classed input) are one class. Leaves, constants
-//!   and parameters carry none: all their rows are distinct.
+//!   from one class of a classed input) are one class. A gather from a
+//!   1-column source carries none: its rows hold one value each, so a
+//!   class set could pay off only through a later product that widens
+//!   them, and no tape here builds one (the stacked hinge loss's pair
+//!   gathers feed element-wise maps). Leaves, constants and parameters
+//!   carry none either: all their rows are distinct.
 //! - Row-wise ops keep their input's classes: `MatMul`, the row broadcasts
 //!   (whose right operand is a single row), the element-wise maps and
 //!   `LayerNormRows`.
@@ -745,7 +749,9 @@ impl Graph {
     /// lookup). Indices may repeat; backward scatter-adds.
     ///
     /// The source of row classes: output rows are equal when they gather
-    /// the same row of `a`, or rows of one class of `a`.
+    /// the same row of `a`, or rows of one class of `a`. A 1-column `a`
+    /// gives no class set (see the module docs), so its gathers skip the
+    /// classification.
     pub fn gather_rows(&mut self, a: Var, indices: &[usize]) -> Var {
         let (rows, c) = self.nodes[a.0].value.shape();
         let mut v = self.zeros(indices.len(), c);
@@ -756,7 +762,11 @@ impl Graph {
                 v.row_mut(i).copy_from_slice(ta.row(ix));
             }
         }
-        let classes = self.classes.gather(self.class(a), rows, indices);
+        let classes = if c == 1 {
+            NONE
+        } else {
+            self.classes.gather(self.class(a), rows, indices)
+        };
         let rg = self.rg(a);
         self.push_classed(v, Op::Gather(a, indices.to_vec()), rg, Vec::new(), classes)
     }

@@ -86,7 +86,8 @@ pub fn pairwise_hinge_loss(
 /// (`gather_rows`, whose backward scatter-adds into the stack), and the whole
 /// pair set goes through ONE subtract/scale/relu/sum chain — a handful of
 /// tape nodes instead of ~4·P scalar vars, which is what keeps the batched
-/// gradient step's tape short.
+/// gradient step's tape short. The score column is one value wide, so its
+/// pair gathers carry no row classes and the chain classifies nothing.
 ///
 /// Pairs are enumerated in the same `i`-major order and summed by the same
 /// sequential fold as [`pairwise_hinge_loss`], so the loss *value* is
