@@ -78,7 +78,7 @@ pub use fewshot::{
     run_trials, DeviceOutcome, FewShotConfig, PretrainedTask, TaskOutcome, TransferredPredictor,
 };
 pub use gnn::{propagation_constant, DgfLayer, GatLayer, GnnStack};
-pub use persist::{ModelIoError, PredictorMeta};
+pub use persist::ModelIoError;
 pub use predictor::{BatchSession, LatencyPredictor, TAPE_BLOCK};
 pub use refine::{BackwardKind, DetachMode, RefineOptions, RefinedPredictor, UnrolledKind};
 pub use trainer::{

@@ -109,43 +109,23 @@ impl From<LoadError> for ModelIoError {
     }
 }
 
-/// The metadata of an `NFP1` envelope — everything **before** the weight
-/// blob — parsed without touching the weights.
-///
-/// This is the lazy-decode entry point for tiered model stores: a warm tier
-/// that only needs to answer "what space / devices / shape does this model
-/// serve?" parses the metadata prefix (a few hundred bytes) and skips the
-/// weight blob (the megabytes) entirely, deferring
-/// [`LatencyPredictor::from_bytes`] until first predict.
-#[derive(Debug, Clone)]
-pub struct PredictorMeta {
-    /// Search space the predictor was trained on.
-    pub space: Space,
-    /// Ordered device roster (wire order defines the device index).
-    pub devices: Vec<String>,
-    /// Supplementary-encoding width (0 when no supplement is configured).
-    pub supp_dim: usize,
-    /// Full predictor configuration.
-    pub config: PredictorConfig,
+/// The metadata of an `NFP1` envelope: everything **before** the weight
+/// blob. Parsed by [`Header::read`], the first half of
+/// [`LatencyPredictor::from_bytes`].
+struct Header {
+    space: Space,
+    devices: Vec<String>,
+    supp_dim: usize,
+    config: PredictorConfig,
     /// Byte length of the `NFW1` weight blob that follows the metadata.
-    pub weight_bytes: usize,
+    weight_bytes: usize,
 }
 
-impl PredictorMeta {
-    /// Parses the metadata prefix of an `NFP1` envelope, validating every
-    /// field exactly like [`LatencyPredictor::from_bytes`] but stopping at
-    /// the weight blob.
-    ///
-    /// `bytes` needs to hold only the metadata prefix, not the whole
-    /// envelope. Returns the metadata plus the number of bytes consumed —
-    /// the offset at which the [`PredictorMeta::weight_bytes`]-byte weight
-    /// blob begins.
-    ///
-    /// # Errors
-    /// The same structural rejections as
-    /// [`LatencyPredictor::from_bytes`] minus the weight-layout checks,
-    /// which require the blob itself.
-    pub fn from_prefix(bytes: &[u8]) -> Result<(Self, usize), ModelIoError> {
+impl Header {
+    /// Parses and validates the metadata prefix of an `NFP1` envelope,
+    /// stopping at the weight blob. Returns the header plus the number of
+    /// bytes consumed: the offset at which the weight blob begins.
+    fn read(bytes: &[u8]) -> Result<(Self, usize), ModelIoError> {
         let mut r = ByteReader::new(bytes);
         if r.get_raw(4).map_err(|_| ModelIoError::BadMagic)? != MAGIC {
             return Err(ModelIoError::BadMagic);
@@ -222,7 +202,7 @@ impl PredictorMeta {
         let weight_bytes = r.get_len()?;
         let consumed = bytes.len() - r.remaining();
         Ok((
-            PredictorMeta {
+            Header {
                 space,
                 devices,
                 supp_dim,
@@ -263,7 +243,7 @@ impl LatencyPredictor {
     /// (empty device list, supplementary width disagreeing with the
     /// config), and weight blobs that do not match the rebuilt layout.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ModelIoError> {
-        let (meta, consumed) = PredictorMeta::from_prefix(bytes)?;
+        let (meta, consumed) = Header::read(bytes)?;
         let end = consumed
             .checked_add(meta.weight_bytes)
             .ok_or(ModelIoError::Truncated)?;
@@ -339,14 +319,14 @@ mod tests {
         let cfg = tiny_cfg().with_supplement(Some(EncodingKind::Zcp));
         let src = LatencyPredictor::new(Space::Nb201, devices(), 13, cfg);
         let bytes = src.to_bytes();
-        let (meta, consumed) = PredictorMeta::from_prefix(&bytes).expect("meta parse");
+        let (meta, consumed) = Header::read(&bytes).expect("meta parse");
         assert_eq!(meta.space, Space::Nb201);
         assert_eq!(meta.devices, devices());
         assert_eq!(meta.supp_dim, 13);
         assert_eq!(consumed + meta.weight_bytes, bytes.len());
         // The weight blob itself must not be required: parsing from a
         // prefix that ends right where the weights begin succeeds too.
-        let (lazy, lazy_consumed) = PredictorMeta::from_prefix(&bytes[..consumed]).expect("prefix");
+        let (lazy, lazy_consumed) = Header::read(&bytes[..consumed]).expect("prefix");
         assert_eq!(lazy_consumed, consumed);
         assert_eq!(lazy.weight_bytes, meta.weight_bytes);
         assert_eq!(lazy.config.op_dim, meta.config.op_dim);

@@ -95,19 +95,24 @@ pub fn kendall_tau(xs: &[f32], ys: &[f32]) -> Result<f32, MetricError> {
     let n = xs.len();
     let mut concordant = 0i64;
     let mut discordant = 0i64;
+    // Tau-b's n1 and n2: every pair tied in x, and every pair tied in y,
+    // including the pairs tied in both.
     let mut ties_x = 0i64;
     let mut ties_y = 0i64;
     for i in 0..n {
         for j in (i + 1)..n {
             let dx = xs[i] - xs[j];
             let dy = ys[i] - ys[j];
-            if dx == 0.0 && dy == 0.0 {
-                // Tied in both: contributes to neither.
-            } else if dx == 0.0 {
+            if dx == 0.0 {
                 ties_x += 1;
-            } else if dy == 0.0 {
+            }
+            if dy == 0.0 {
                 ties_y += 1;
-            } else if (dx > 0.0) == (dy > 0.0) {
+            }
+            if dx == 0.0 || dy == 0.0 {
+                continue;
+            }
+            if (dx > 0.0) == (dy > 0.0) {
                 concordant += 1;
             } else {
                 discordant += 1;
@@ -115,22 +120,11 @@ pub fn kendall_tau(xs: &[f32], ys: &[f32]) -> Result<f32, MetricError> {
         }
     }
     let n0 = (n * (n - 1) / 2) as f64;
-    let denom = ((n0 - ties_x as f64 - count_joint_ties(xs))
-        * (n0 - ties_y as f64 - count_joint_ties(ys)))
-    .sqrt();
+    let denom = ((n0 - ties_x as f64) * (n0 - ties_y as f64)).sqrt();
     if denom == 0.0 {
         return Err(MetricError::ConstantInput);
     }
     Ok(((concordant - discordant) as f64 / denom) as f32)
-}
-
-/// Number of pairs tied within a single sequence beyond those counted as
-/// cross-ties; used for the tau-b tie correction.
-fn count_joint_ties(_xs: &[f32]) -> f64 {
-    // Cross-ties (tied in x only / y only) are already counted in the main
-    // loop; pairs tied in *both* are excluded from both tie counts, matching
-    // the standard tau-b definition where n1/n2 count within-variable ties.
-    0.0
 }
 
 #[cfg(test)]
@@ -184,6 +178,20 @@ mod tests {
         // 5 concordant, 1 discordant out of 6 pairs -> tau = 4/6
         let tau = kendall_tau(&xs, &ys).unwrap();
         assert!((tau - 4.0 / 6.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn kendall_counts_joint_ties_in_both_corrections() {
+        // Pair (0, 1) is tied in both inputs; the other two pairs are
+        // concordant. Tau-b = 2 / sqrt((3 - 1) * (3 - 1)) = 1.
+        for ys in [[1.0, 1.0, 2.0], [1.0, 1.0, 3.0]] {
+            let tau = kendall_tau(&[1.0, 1.0, 2.0], &ys).unwrap();
+            assert_eq!(tau, 1.0, "{ys:?}");
+        }
+        // Ties in x only: n1 = 1, n2 = 0, C = 4, D = 1 over six pairs,
+        // tau-b = 3 / sqrt(5 * 6).
+        let tau = kendall_tau(&[1.0, 1.0, 2.0, 3.0], &[1.0, 2.0, 4.0, 3.0]).unwrap();
+        assert!((tau as f64 - 3.0 / 30f64.sqrt()).abs() < 1e-6, "{tau}");
     }
 
     #[test]

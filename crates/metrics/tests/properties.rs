@@ -30,10 +30,15 @@ proptest! {
 
     #[test]
     fn self_correlation_is_one(xs in varied_vec(40)) {
-        let rho = spearman_rho(&xs, &xs).unwrap();
-        prop_assert!((rho - 1.0).abs() < 1e-5);
-        let tau = kendall_tau(&xs, &xs).unwrap();
-        prop_assert!((tau - 1.0).abs() < 1e-5);
+        // Every value of `tied` appears at least twice, so its pairs are
+        // tied in both inputs.
+        let tied = [xs.as_slice(), xs.as_slice()].concat();
+        for v in [&xs, &tied] {
+            let rho = spearman_rho(v, v).unwrap();
+            prop_assert!((rho - 1.0).abs() < 1e-5);
+            let tau = kendall_tau(v, v).unwrap();
+            prop_assert!((tau - 1.0).abs() < 1e-5, "tau {} on {:?}", tau, v);
+        }
     }
 
     #[test]

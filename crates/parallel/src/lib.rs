@@ -65,8 +65,7 @@ thread_local! {
 /// Reads an unsigned-integer environment variable, **warning on malformed
 /// values instead of silently defaulting**.
 ///
-/// Every NASFLAT tuning knob (`NASFLAT_THREADS`, `NASFLAT_SERVE_BATCH`)
-/// parses through this helper so a typo like
+/// `NASFLAT_THREADS` parses through this helper so a typo like
 /// `NASFLAT_THREADS=fourteen` or an out-of-range `NASFLAT_THREADS=0` is
 /// surfaced on stderr exactly where the old code paths dropped it on the
 /// floor. Returns:
@@ -78,16 +77,6 @@ thread_local! {
 ///   visibly.
 pub fn env_usize(name: &str, min: usize) -> Option<usize> {
     parse_env_usize(name, &std::env::var(name).ok()?, min)
-}
-
-/// Reads a path-valued environment variable (e.g. `NASFLAT_STORE_DIR`):
-/// `Some(path)` when the variable is set to a non-blank value, `None` when
-/// unset or blank. Paths are taken verbatim after trimming whitespace — no
-/// existence check, since the consumer may be about to create it.
-pub fn env_path(name: &str) -> Option<std::path::PathBuf> {
-    let raw = std::env::var(name).ok()?;
-    let trimmed = raw.trim();
-    (!trimmed.is_empty()).then(|| std::path::PathBuf::from(trimmed))
 }
 
 /// The pure parsing/validation half of [`env_usize`], split out so tests

@@ -20,10 +20,10 @@
 //!
 //! [`EncodingSuite::zcp_stats`]: nasflat_encode::EncodingSuite::zcp_stats
 
-use nasflat_core::{BatchSession, LatencyPredictor, ModelIoError, PredictorMeta};
+use nasflat_core::{BatchSession, LatencyPredictor, ModelIoError};
 use nasflat_encode::{zcp_features, ColumnStats, EncodingKind, EncodingSuite};
 use nasflat_space::{Arch, Space};
-use nasflat_tensor::{ByteReader, ByteWriter, StreamError, StreamReader};
+use nasflat_tensor::{ByteReader, ByteWriter};
 
 use crate::error::ServeError;
 
@@ -272,8 +272,8 @@ impl ModelBundle {
         sum / self.members.len() as f32
     }
 
-    /// Opens one [`BatchSession`] per member — the per-worker tape state
-    /// the dynamic batcher holds.
+    /// Opens one [`BatchSession`] per member: the tape state the serving
+    /// engine scores one group on.
     pub fn open_sessions(&self) -> Vec<BatchSession<'_>> {
         self.members.iter().map(|m| m.session()).collect()
     }
@@ -398,250 +398,14 @@ impl ModelBundle {
         ModelBundle::new(members, zcp_stats)
     }
 
-    /// Streaming decode of an `NFB1` bundle from a seekable reader holding
-    /// `len` bytes — the disk path of the tiered store.
-    ///
-    /// Unlike buffering the whole file and calling
-    /// [`ModelBundle::from_bytes`], this reads one member envelope at a
-    /// time, so peak transient memory is the largest member, not the whole
-    /// bundle file. The decoded bundle is byte-for-byte the same as the
-    /// in-memory path — reload is bit-identical.
+    /// Reads the bundle file at `path` and decodes it with
+    /// [`ModelBundle::from_bytes`].
     ///
     /// # Errors
-    /// [`ServeError::Bundle`] for any framing/validation failure (same
-    /// grammar as [`ModelBundle::from_bytes`]), [`ServeError::Io`] when the
-    /// underlying reader fails.
-    pub fn from_reader<R: std::io::Read + std::io::Seek>(
-        reader: R,
-        len: u64,
-    ) -> Result<Self, ServeError> {
-        let mut r = StreamReader::new(reader, len);
-        let count = read_bundle_header(&mut r)?;
-        let mut members = Vec::with_capacity(count);
-        for _ in 0..count {
-            let blob = r.get_blob().map_err(stream_err)?;
-            members.push(LatencyPredictor::from_bytes(&blob).map_err(BundleError::from)?);
-        }
-        let zcp_stats = match r.get_u8().map_err(stream_err)? {
-            0 => None,
-            1 => {
-                let dim = r.get_len().map_err(stream_err)?;
-                let means = r.get_f32_vec(dim).map_err(stream_err)?;
-                let stds = r.get_f32_vec(dim).map_err(stream_err)?;
-                Some(ColumnStats::from_parts(means, stds))
-            }
-            flag => {
-                return Err(corrupt(format!("invalid norms flag {flag}")));
-            }
-        };
-        if !r.is_empty() {
-            return Err(corrupt(format!(
-                "{} trailing bytes after the norms section",
-                r.remaining()
-            )));
-        }
-        Ok(ModelBundle::new(members, zcp_stats)?)
-    }
-
-    /// Opens `path` and streams the bundle via
-    /// [`ModelBundle::from_reader`], never buffering the whole file.
-    ///
-    /// # Errors
-    /// [`ServeError::Io`] when the file cannot be opened or read,
+    /// [`ServeError::Io`] when the file cannot be read,
     /// [`ServeError::Bundle`] when its contents are not a valid bundle.
     pub fn load_path(path: &std::path::Path) -> Result<Self, ServeError> {
-        let file = std::fs::File::open(path)?;
-        let len = file.metadata()?.len();
-        ModelBundle::from_reader(std::io::BufReader::new(file), len)
-    }
-}
-
-/// First chunk size when parsing a member's metadata prefix: generously
-/// covers the fixed header, a full device roster, and the config fields of
-/// every real bundle, so the growth loop below almost never iterates.
-const META_CHUNK: usize = 4_096;
-
-fn stream_err(e: StreamError) -> ServeError {
-    match e {
-        StreamError::Wire(w) => ServeError::Bundle(BundleError::Model(w.into())),
-        StreamError::Io(e) => ServeError::Io(e),
-    }
-}
-
-fn corrupt(detail: String) -> ServeError {
-    ServeError::Bundle(BundleError::Model(ModelIoError::Corrupt(detail)))
-}
-
-/// Validates the NFB1 magic/version framing and returns the member count.
-fn read_bundle_header<R: std::io::Read + std::io::Seek>(
-    r: &mut StreamReader<R>,
-) -> Result<usize, ServeError> {
-    let magic = r.get_vec(4).map_err(|e| match e {
-        StreamError::Io(io) => ServeError::Io(io),
-        StreamError::Wire(_) => ServeError::Bundle(ModelIoError::BadMagic.into()),
-    })?;
-    if magic != MAGIC {
-        return Err(ServeError::Bundle(ModelIoError::BadMagic.into()));
-    }
-    let version = r.get_u32().map_err(stream_err)?;
-    if version != VERSION {
-        return Err(ServeError::Bundle(
-            ModelIoError::UnsupportedVersion(version).into(),
-        ));
-    }
-    let count = r.get_len().map_err(stream_err)?;
-    if count == 0 {
-        return Err(ServeError::Bundle(BundleError::Empty));
-    }
-    // Each member occupies at least its length prefix.
-    if count > r.remaining() / 4 {
-        return Err(ServeError::Bundle(ModelIoError::Truncated.into()));
-    }
-    Ok(count)
-}
-
-/// The warm-tier view of a bundle: the `NFB1` metadata parsed up front with
-/// every weight blob **skipped**, so holding a warm entry costs a few
-/// hundred bytes regardless of model size.
-///
-/// A warm entry answers the questions a router needs — which space, which
-/// device roster, how many ensemble members — while full weight
-/// deserialization ([`ModelBundle::from_reader`]) is deferred until first
-/// predict.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BundleMeta {
-    space: Space,
-    devices: Vec<String>,
-    num_members: usize,
-    supp_dim: usize,
-    has_norms: bool,
-}
-
-impl BundleMeta {
-    /// The warm view of an already-decoded bundle (the hot→warm demotion
-    /// path: no disk read needed).
-    pub fn of(bundle: &ModelBundle) -> Self {
-        BundleMeta {
-            space: bundle.space(),
-            devices: bundle.devices().to_vec(),
-            num_members: bundle.num_members(),
-            supp_dim: bundle.members()[0].supp_dim(),
-            has_norms: bundle.zcp_stats().is_some(),
-        }
-    }
-
-    /// Parses the metadata of an `NFB1` stream holding `len` bytes,
-    /// seeking past every weight blob (the durable→warm promotion path).
-    ///
-    /// The first member's `NFP1` metadata prefix is fully validated via
-    /// [`PredictorMeta::from_prefix`]; the remaining members' envelopes and
-    /// all weight bytes are skipped, their validation deferred to the full
-    /// decode at first predict.
-    ///
-    /// # Errors
-    /// [`ServeError::Bundle`] on framing/validation failures,
-    /// [`ServeError::Io`] when the underlying reader fails.
-    pub fn from_reader<R: std::io::Read + std::io::Seek>(
-        reader: R,
-        len: u64,
-    ) -> Result<Self, ServeError> {
-        let mut r = StreamReader::new(reader, len);
-        let count = read_bundle_header(&mut r)?;
-        // Member 0: parse the metadata prefix from a bounded chunk, growing
-        // only if a pathological roster overflows it, then seek past the
-        // weights.
-        let mlen = r.get_len().map_err(stream_err)?;
-        if mlen > r.remaining() {
-            return Err(ServeError::Bundle(ModelIoError::Truncated.into()));
-        }
-        let mut buf = r.get_vec(mlen.min(META_CHUNK)).map_err(stream_err)?;
-        let meta = loop {
-            match PredictorMeta::from_prefix(&buf) {
-                Ok((meta, consumed)) => {
-                    if consumed + meta.weight_bytes != mlen {
-                        return Err(corrupt(format!(
-                            "member 0 declares {} envelope bytes but holds {mlen}",
-                            consumed + meta.weight_bytes
-                        )));
-                    }
-                    r.skip(mlen - buf.len()).map_err(stream_err)?;
-                    break meta;
-                }
-                Err(ModelIoError::Truncated) if buf.len() < mlen => {
-                    let grow = (mlen - buf.len()).min(buf.len().max(META_CHUNK));
-                    buf.extend(r.get_vec(grow).map_err(stream_err)?);
-                }
-                Err(e) => return Err(ServeError::Bundle(e.into())),
-            }
-        };
-        // Remaining members: skip whole envelopes.
-        for _ in 1..count {
-            let mlen = r.get_len().map_err(stream_err)?;
-            r.skip(mlen).map_err(stream_err)?;
-        }
-        let has_norms = match r.get_u8().map_err(stream_err)? {
-            0 => false,
-            1 => {
-                let dim = r.get_len().map_err(stream_err)?;
-                r.skip(
-                    dim.checked_mul(8)
-                        .ok_or_else(|| ServeError::Bundle(ModelIoError::Truncated.into()))?,
-                )
-                .map_err(stream_err)?;
-                true
-            }
-            flag => return Err(corrupt(format!("invalid norms flag {flag}"))),
-        };
-        if !r.is_empty() {
-            return Err(corrupt(format!(
-                "{} trailing bytes after the norms section",
-                r.remaining()
-            )));
-        }
-        Ok(BundleMeta {
-            space: meta.space,
-            devices: meta.devices,
-            num_members: count,
-            supp_dim: meta.supp_dim,
-            has_norms,
-        })
-    }
-
-    /// Opens `path` and parses the warm metadata via
-    /// [`BundleMeta::from_reader`].
-    ///
-    /// # Errors
-    /// Same conditions as [`BundleMeta::from_reader`], plus
-    /// [`ServeError::Io`] when the file cannot be opened.
-    pub fn load_path(path: &std::path::Path) -> Result<Self, ServeError> {
-        let file = std::fs::File::open(path)?;
-        let len = file.metadata()?.len();
-        BundleMeta::from_reader(std::io::BufReader::new(file), len)
-    }
-
-    /// The bundle's search space.
-    pub fn space(&self) -> Space {
-        self.space
-    }
-
-    /// The bundle's ordered device roster.
-    pub fn devices(&self) -> &[String] {
-        &self.devices
-    }
-
-    /// Number of ensemble members the full bundle holds.
-    pub fn num_members(&self) -> usize {
-        self.num_members
-    }
-
-    /// The supplementary-encoding width (0 without a supplement).
-    pub fn supp_dim(&self) -> usize {
-        self.supp_dim
-    }
-
-    /// Whether the bundle carries a ZCP normalization snapshot.
-    pub fn has_norms(&self) -> bool {
-        self.has_norms
+        Ok(ModelBundle::from_bytes(&std::fs::read(path)?)?)
     }
 }
 
@@ -769,7 +533,7 @@ mod tests {
     }
 
     #[test]
-    fn streamed_decode_matches_buffered_decode_bitwise() {
+    fn load_path_matches_from_bytes_and_maps_errors() {
         let stats = ColumnStats::from_parts(vec![0.5; 13], vec![2.0; 13]);
         let bundle = ModelBundle::new(
             vec![
@@ -780,53 +544,31 @@ mod tests {
         )
         .unwrap();
         let bytes = bundle.to_bytes();
-        let streamed =
-            ModelBundle::from_reader(std::io::Cursor::new(&bytes), bytes.len() as u64).unwrap();
-        let buffered = ModelBundle::from_bytes(&bytes).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "nasflat_bundle_load_path_{}.nfb1",
+            std::process::id()
+        ));
+        std::fs::write(&path, &bytes).unwrap();
+        let loaded = ModelBundle::load_path(&path).unwrap();
         let arch = Arch::nb201_from_index(4141);
         for dev in 0..3 {
             assert_eq!(
-                streamed.predict_one(&arch, dev).to_bits(),
-                buffered.predict_one(&arch, dev).to_bits(),
+                loaded.predict_one(&arch, dev).to_bits(),
+                bundle.predict_one(&arch, dev).to_bits(),
                 "dev {dev}"
             );
         }
-        // Truncations stream-error cleanly too, never panicking.
-        for cut in [0, 5, 9, 13, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                ModelBundle::from_reader(std::io::Cursor::new(&bytes[..cut]), cut as u64).is_err(),
-                "cut {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn warm_metadata_sees_shape_without_decoding_weights() {
-        let stats = ColumnStats::from_parts(vec![0.5; 13], vec![2.0; 13]);
-        let bundle = ModelBundle::new(
-            vec![
-                tiny(23, Some(EncodingKind::Zcp)),
-                tiny(24, Some(EncodingKind::Zcp)),
-            ],
-            Some(stats),
-        )
-        .unwrap();
-        let bytes = bundle.to_bytes();
-        let meta = BundleMeta::from_reader(std::io::Cursor::new(&bytes), bytes.len() as u64)
-            .expect("warm parse");
-        assert_eq!(meta, BundleMeta::of(&bundle));
-        assert_eq!(meta.space(), Space::Nb201);
-        assert_eq!(meta.devices(), bundle.devices());
-        assert_eq!(meta.num_members(), 2);
-        assert_eq!(meta.supp_dim(), 13);
-        assert!(meta.has_norms());
-        // Warm parsing validates framing: truncations are clean errors.
-        for cut in [0, 5, 9, 13, 40, bytes.len() - 1] {
-            assert!(
-                BundleMeta::from_reader(std::io::Cursor::new(&bytes[..cut]), cut as u64).is_err(),
-                "cut {cut}"
-            );
-        }
+        // A damaged file is a bundle error; a missing one is an I/O error.
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        assert!(matches!(
+            ModelBundle::load_path(&path),
+            Err(ServeError::Bundle(_))
+        ));
+        std::fs::remove_file(&path).unwrap();
+        assert!(matches!(
+            ModelBundle::load_path(&path),
+            Err(ServeError::Io(_))
+        ));
     }
 
     #[test]

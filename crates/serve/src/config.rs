@@ -1,11 +1,10 @@
 //! One configuration surface for the whole serving subsystem.
 //!
 //! [`ServeConfig::builder`] holds every serving knob — batching, queue
-//! depth, worker count, the ingress bind address, admission limits, and
-//! timeouts — behind one env-seeded builder. The environment is read only
-//! here, when a builder is made, and parsing goes through
-//! [`nasflat_parallel::env_usize`] so malformed values warn identically
-//! everywhere.
+//! depth, worker count, the ingress bind address, admission limits,
+//! timeouts, the store, scheduling and telemetry — behind one builder.
+//! The serving layer reads no environment variable: a program that wants
+//! a knob from its environment or command line sets it on the builder.
 
 use std::net::{Ipv4Addr, SocketAddr};
 use std::path::PathBuf;
@@ -13,15 +12,13 @@ use std::path::PathBuf;
 use crate::sched::SchedPolicy;
 use crate::DEFAULT_SERVE_BATCH;
 
-/// Tuning knobs of the serving subsystem: the [`DynamicBatcher`], the
-/// in-process registry entry points, and the TCP [`IngressServer`].
+/// Tuning knobs of the serving subsystem: the in-process registry entry
+/// points and the TCP [`IngressServer`].
 ///
-/// Construct through [`ServeConfig::builder`] (env-seeded defaults) and
-/// override per field. The struct is `#[non_exhaustive]`: new knobs can be
+/// Construct through [`ServeConfig::builder`] and override per field. The struct is `#[non_exhaustive]`: new knobs can be
 /// added without breaking downstream literals, so struct-literal
 /// construction is reserved to this crate.
 ///
-/// [`DynamicBatcher`]: crate::DynamicBatcher
 /// [`IngressServer`]: crate::IngressServer
 #[non_exhaustive]
 #[derive(Debug, Clone)]
@@ -55,13 +52,13 @@ pub struct ServeConfig {
     /// threads observe a shutdown while idle. Also the upper bound on
     /// shutdown latency added per idle connection.
     pub read_timeout_ms: u64,
-    /// Durable bundle directory for the registry's tiered store
+    /// Durable bundle directory for the registry's store
     /// ([`BundleStore`](crate::BundleStore)). `None` (the default) keeps
     /// the registry in-memory.
     pub store_dir: Option<PathBuf>,
-    /// Hot-tier capacity of the tiered store: how many decoded bundles stay
-    /// resident before LRU demotion to the warm tier. 0 (the default) is
-    /// unbounded. Only disk-backed entries are ever demoted.
+    /// Hot-tier capacity of the store: how many decoded bundles stay
+    /// resident before LRU eviction leaves the oldest only durable. 0 (the
+    /// default) is unbounded. Only disk-backed entries are ever evicted.
     pub hot_capacity: usize,
     /// Ingress queue ordering: [`SchedPolicy::Fifo`] drains in exact
     /// arrival order (the pre-deadline behavior, bit-for-bit);
@@ -94,36 +91,31 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// An env-seeded builder: workers from the calling thread's parallelism
-    /// (`NASFLAT_THREADS` / [`nasflat_parallel::with_threads`] overrides
-    /// apply), batch from `NASFLAT_SERVE_BATCH`, the store knobs from
-    /// `NASFLAT_STORE_DIR` / `NASFLAT_HOT_CAPACITY`, the scheduling knobs
-    /// from `NASFLAT_SCHED_POLICY` / `NASFLAT_SCHED_DEADLINE_MS` /
-    /// `NASFLAT_SCHED_BOOST`, the telemetry knobs from `NASFLAT_TELEMETRY`
-    /// (0 disables) / `NASFLAT_TRACE_CAPACITY`, loopback ephemeral bind,
-    /// and a queue deep enough to keep every worker's next batch waiting.
+    /// A builder with the defaults: workers from the calling thread's
+    /// parallelism (`NASFLAT_THREADS` / [`nasflat_parallel::with_threads`]
+    /// overrides apply), batch [`DEFAULT_SERVE_BATCH`], an in-memory store
+    /// with an unbounded hot tier, EDF scheduling with a 500 ms best-effort
+    /// horizon and no aging, telemetry on with a 256-entry trace ring,
+    /// loopback ephemeral bind, and a queue deep enough to keep every
+    /// worker's next batch waiting.
     pub fn builder() -> ServeConfigBuilder {
         ServeConfigBuilder {
             cfg: ServeConfig {
                 workers: nasflat_parallel::current_threads(),
-                batch: nasflat_parallel::env_usize("NASFLAT_SERVE_BATCH", 0)
-                    .unwrap_or(DEFAULT_SERVE_BATCH),
+                batch: DEFAULT_SERVE_BATCH,
                 queue_depth: 0, // derived at build() unless pinned
                 bind: SocketAddr::from((Ipv4Addr::LOCALHOST, 0)),
                 max_connections: 64,
                 max_inflight: 32,
                 retry_after_ms: 10,
                 read_timeout_ms: 25,
-                store_dir: nasflat_parallel::env_path("NASFLAT_STORE_DIR"),
-                hot_capacity: nasflat_parallel::env_usize("NASFLAT_HOT_CAPACITY", 0).unwrap_or(0),
-                sched_policy: SchedPolicy::from_env(),
-                deadline_default_ms: nasflat_parallel::env_usize("NASFLAT_SCHED_DEADLINE_MS", 1)
-                    .map_or(500, |ms| ms.min(u32::MAX as usize) as u32),
-                starvation_boost: nasflat_parallel::env_usize("NASFLAT_SCHED_BOOST", 0)
-                    .map_or(0, |b| b.min(u32::MAX as usize) as u32),
-                telemetry: nasflat_parallel::env_usize("NASFLAT_TELEMETRY", 0) != Some(0),
-                trace_capacity: nasflat_parallel::env_usize("NASFLAT_TRACE_CAPACITY", 0)
-                    .unwrap_or(256),
+                store_dir: None,
+                hot_capacity: 0,
+                sched_policy: SchedPolicy::Edf,
+                deadline_default_ms: 500,
+                starvation_boost: 0,
+                telemetry: true,
+                trace_capacity: 256,
             },
             queue_depth_pinned: false,
         }
@@ -134,30 +126,10 @@ impl ServeConfig {
     pub(crate) fn derived_depth(workers: usize, batch: usize) -> usize {
         (2 * workers.max(1) * batch.max(1)).max(8)
     }
-
-    /// Same config with a different worker count. `queue_depth` is
-    /// re-derived for the new shape; use the builder's
-    /// [`queue_depth`](ServeConfigBuilder::queue_depth) to pin a custom
-    /// bound.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self.queue_depth = Self::derived_depth(workers, self.batch);
-        self
-    }
-
-    /// Same config with a different coalescing limit. `queue_depth` is
-    /// re-derived for the new shape; use the builder's
-    /// [`queue_depth`](ServeConfigBuilder::queue_depth) to pin a custom
-    /// bound.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
-        self.queue_depth = Self::derived_depth(self.workers, batch);
-        self
-    }
 }
 
 /// Builder for [`ServeConfig`] — see [`ServeConfig::builder`] for the
-/// env-seeded defaults each field starts from.
+/// defaults each field starts from.
 #[derive(Debug, Clone)]
 pub struct ServeConfigBuilder {
     cfg: ServeConfig,
@@ -215,53 +187,50 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Durable bundle directory for the registry's tiered store. The
-    /// default comes from `NASFLAT_STORE_DIR` (unset → in-memory).
+    /// Durable bundle directory for the registry's store (default: none,
+    /// an in-memory store).
     pub fn store_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cfg.store_dir = Some(dir.into());
         self
     }
 
-    /// Hot-tier capacity of the tiered store (0 = unbounded). The default
-    /// comes from `NASFLAT_HOT_CAPACITY`.
+    /// Hot-tier capacity of the store (0, the default, is unbounded).
     pub fn hot_capacity(mut self, capacity: usize) -> Self {
         self.cfg.hot_capacity = capacity;
         self
     }
 
     /// Ingress queue ordering (`fifo` = pre-deadline arrival order, `edf` =
-    /// deadline-first with aging). The default comes from
-    /// `NASFLAT_SCHED_POLICY` (unset → edf).
+    /// deadline-first with aging; default edf).
     pub fn sched_policy(mut self, policy: SchedPolicy) -> Self {
         self.cfg.sched_policy = policy;
         self
     }
 
     /// Ordering budget for best-effort requests, milliseconds (clamped to
-    /// at least 1; best-effort traffic never expires regardless). The
-    /// default comes from `NASFLAT_SCHED_DEADLINE_MS` (unset → 500).
+    /// at least 1; best-effort traffic never expires regardless; default
+    /// 500).
     pub fn deadline_default_ms(mut self, ms: u32) -> Self {
         self.cfg.deadline_default_ms = ms.max(1);
         self
     }
 
-    /// Anti-starvation aging weight of the EDF order (0 = pure EDF). The
-    /// default comes from `NASFLAT_SCHED_BOOST` (unset → 0).
+    /// Anti-starvation aging weight of the EDF order (0, the default, is
+    /// pure EDF).
     pub fn starvation_boost(mut self, boost: u32) -> Self {
         self.cfg.starvation_boost = boost;
         self
     }
 
     /// Enables or disables telemetry recording (histograms, gauges,
-    /// traces). The default comes from `NASFLAT_TELEMETRY` (unset → on,
-    /// `0` → off).
+    /// traces; default on).
     pub fn telemetry(mut self, on: bool) -> Self {
         self.cfg.telemetry = on;
         self
     }
 
-    /// Bound of the per-request trace ring (0 disables tracing only). The
-    /// default comes from `NASFLAT_TRACE_CAPACITY` (unset → 256).
+    /// Bound of the per-request trace ring (0 disables tracing only;
+    /// default 256).
     pub fn trace_capacity(mut self, capacity: usize) -> Self {
         self.cfg.trace_capacity = capacity;
         self
@@ -282,50 +251,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_defaults_are_sane_and_env_seeded() {
+    fn builder_defaults_are_sane() {
         let cfg = ServeConfig::builder().build();
         assert!(cfg.workers >= 1);
+        assert_eq!(cfg.batch, DEFAULT_SERVE_BATCH);
         assert!(cfg.queue_depth >= 8);
         assert!(cfg.max_connections >= 1);
         assert!(cfg.max_inflight >= 1);
         assert!(cfg.bind.ip().is_loopback());
         assert_eq!(cfg.bind.port(), 0);
-        // Store knobs default to an in-memory, unbounded-hot registry
-        // unless the environment says otherwise.
-        if std::env::var_os("NASFLAT_STORE_DIR").is_none() {
-            assert!(cfg.store_dir.is_none());
-        }
-        if std::env::var_os("NASFLAT_HOT_CAPACITY").is_none() {
-            assert_eq!(cfg.hot_capacity, 0);
-        }
-        let tiered = ServeConfig::builder()
+        // Store knobs default to an in-memory, unbounded-hot registry.
+        assert!(cfg.store_dir.is_none());
+        assert_eq!(cfg.hot_capacity, 0);
+        let stored = ServeConfig::builder()
             .store_dir("models/")
             .hot_capacity(2)
             .build();
         assert_eq!(
-            tiered.store_dir.as_deref(),
+            stored.store_dir.as_deref(),
             Some(std::path::Path::new("models/"))
         );
-        assert_eq!(tiered.hot_capacity, 2);
+        assert_eq!(stored.hot_capacity, 2);
         // Scheduling knobs: EDF with a 500 ms best-effort horizon and no
-        // aging unless the environment says otherwise.
-        if std::env::var_os("NASFLAT_SCHED_POLICY").is_none() {
-            assert_eq!(cfg.sched_policy, SchedPolicy::Edf);
-        }
-        if std::env::var_os("NASFLAT_SCHED_DEADLINE_MS").is_none() {
-            assert_eq!(cfg.deadline_default_ms, 500);
-        }
-        if std::env::var_os("NASFLAT_SCHED_BOOST").is_none() {
-            assert_eq!(cfg.starvation_boost, 0);
-        }
+        // aging.
+        assert_eq!(cfg.sched_policy, SchedPolicy::Edf);
+        assert_eq!(cfg.deadline_default_ms, 500);
+        assert_eq!(cfg.starvation_boost, 0);
         // Telemetry defaults on with a bounded trace ring; the builder can
         // switch both off.
-        if std::env::var_os("NASFLAT_TELEMETRY").is_none() {
-            assert!(cfg.telemetry);
-        }
-        if std::env::var_os("NASFLAT_TRACE_CAPACITY").is_none() {
-            assert_eq!(cfg.trace_capacity, 256);
-        }
+        assert!(cfg.telemetry);
+        assert_eq!(cfg.trace_capacity, 256);
         let quiet = ServeConfig::builder()
             .telemetry(false)
             .trace_capacity(0)
@@ -358,9 +313,8 @@ mod tests {
         // Pinning wins over derivation, in any order.
         let pinned = ServeConfig::builder().queue_depth(2).workers(8).build();
         assert_eq!(pinned.queue_depth, 2);
-        // with_* re-derive unless re-pinned.
-        let tuned = cfg.with_workers(1).with_batch(1);
-        assert_eq!(tuned.queue_depth, 8);
+        let single = ServeConfig::builder().workers(1).batch(1).build();
+        assert_eq!(single.queue_depth, 8);
         let bound: SocketAddr = "127.0.0.1:9099".parse().unwrap();
         assert_eq!(ServeConfig::builder().bind(bound).build().bind, bound);
     }

@@ -37,7 +37,8 @@
 //!
 //! **Cross-model coalescing.** Scheduler workers block for a group of up
 //! to [`ServeConfig::batch`] queries, then hand it to the same serving
-//! engine the in-process [`DynamicBatcher`](crate::DynamicBatcher) runs
+//! engine the in-process
+//! [`PredictorRegistry::serve_requests`](crate::PredictorRegistry::serve_requests) runs
 //! on, which evaluates it — grouped by model version — as mixed-device
 //! multi-query tape passes and credits the [`Telemetry`] ledger.
 //! Queries from *different connections* to the same model share a pass;
@@ -681,7 +682,6 @@ fn exposition(shared: &Ingress, queue: &DeadlineQueue<Job>) -> String {
     for (name, value) in [
         ("nasflat_cache_entries", cache.entries),
         ("nasflat_store_hot", tiers.hot),
-        ("nasflat_store_warm", tiers.warm),
         ("nasflat_store_durable", tiers.durable),
         ("nasflat_store_hot_capacity", tiers.hot_capacity),
         ("nasflat_models", registry.len()),

@@ -9,20 +9,20 @@
 //!   the encoding-suite normalization its supplement needs. A bundle saved
 //!   with [`ModelBundle::to_bytes`] and reloaded with
 //!   [`ModelBundle::from_bytes`] serves **bit-identical** predictions.
-//! - [`BundleStore`]: the **tiered model store** behind the registry. A
-//!   model is *hot* (decoded, ready to predict), *warm* (NFB1 metadata
-//!   parsed, weights still on disk), or *durable* (an index row in the
-//!   store directory). Publishing writes atomically (write-then-rename),
-//!   lookups promote lazily, a bounded hot tier demotes by LRU, and
-//!   corrupt files are quarantined instead of retried.
+//! - [`BundleStore`]: the **model store** behind the registry. A model is
+//!   *hot* (decoded, ready to predict) or *durable* (an `NFB1` file and an
+//!   index row in the store directory). Publishing writes atomically
+//!   (write-then-rename), a lookup decodes a durable file on first use, a
+//!   bounded hot tier evicts by LRU back to durable, and corrupt files are
+//!   quarantined instead of retried.
 //! - [`PredictorRegistry`]: named models over a [`BundleStore`] behind one
 //!   lookup, with an LRU **result cache** keyed on (model, architecture,
 //!   device) — repeat queries for the same pair are answered without
 //!   touching a tape. Tier movement is invisible: evicted models reload
 //!   bit-identically.
-//! - [`DynamicBatcher`]: the **in-process path**. The input slice is
-//!   already in memory, so there is no queue: it is cut into
-//!   [`ServeConfig::batch`]-sized chunks (default
+//! - [`PredictorRegistry::serve_requests`]: the **in-process path**. The
+//!   input slice is already in memory, so there is no queue: it is cut
+//!   into [`ServeConfig::batch`]-sized chunks (default
 //!   [`DEFAULT_SERVE_BATCH`]) that `nasflat-parallel` workers hand to the
 //!   serving engine, which scores each chunk — *for any mix of devices* —
 //!   as one multi-query block-diagonal tape pass per bundle member
@@ -116,7 +116,6 @@
 
 #![deny(missing_docs)]
 
-mod batcher;
 mod bundle;
 mod config;
 mod engine;
@@ -129,8 +128,7 @@ mod store;
 pub mod telemetry;
 pub mod wire;
 
-pub use batcher::{DynamicBatcher, ServeQuery};
-pub use bundle::{BundleError, BundleMeta, ModelBundle};
+pub use bundle::{BundleError, ModelBundle};
 pub use config::{ServeConfig, ServeConfigBuilder};
 pub use error::ServeError;
 pub use ingress::IngressServer;
@@ -145,6 +143,5 @@ pub use telemetry::{
 pub use wire::{IngressClient, WireFault};
 
 /// Default coalescing limit: the most queries one tape pass evaluates,
-/// unless `NASFLAT_SERVE_BATCH` or [`ServeConfigBuilder::batch`] says
-/// otherwise.
+/// unless [`ServeConfigBuilder::batch`] says otherwise.
 pub const DEFAULT_SERVE_BATCH: usize = 16;

@@ -1,15 +1,14 @@
-//! The predictor registry: named models over a tiered store plus an LRU
+//! The predictor registry: named models over a bundle store plus an LRU
 //! result cache.
 //!
 //! A serving process keeps every deployed model behind one name-indexed
-//! registry. Since PR 7 the registry no longer owns a flat map of decoded
-//! models: it sits on a [`BundleStore`], so a model may be **hot** (decoded,
-//! ready to predict), **warm** (metadata parsed, weights still on disk), or
-//! **durable** (only an index row). Lookups transparently promote
-//! (durable→warm→hot), [`PredictorRegistry::insert`] writes through to the
-//! store's disk directory when it has one, and the hot tier's LRU eviction
-//! is invisible to callers — evicted models reload bit-identically, and any
-//! in-flight predict keeps its `Arc`-pinned instance alive.
+//! registry. The registry sits on a [`BundleStore`], so a model may be
+//! **hot** (decoded, ready to predict) or **durable** (a bundle file and
+//! an index row). Lookups transparently decode durable models,
+//! [`PredictorRegistry::insert`] writes through to the store's disk
+//! directory when it has one, and the hot tier's LRU eviction is invisible
+//! to callers — evicted models reload bit-identically, and any in-flight
+//! predict keeps its `Arc`-pinned instance alive.
 //!
 //! The registry also memoizes results: latency queries inside a NAS loop
 //! are heavily repetitive (evolutionary search re-scores survivors every
@@ -27,9 +26,9 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use nasflat_space::Space;
 
-use crate::batcher::{drain_slots, Slot};
 use crate::bundle::ModelBundle;
 use crate::config::ServeConfig;
+use crate::engine::{drain_slots, Slot};
 use crate::error::ServeError;
 use crate::request::{ServeRequest, ServeResponse};
 use crate::store::{BundleStore, TierStats};
@@ -127,7 +126,7 @@ pub struct ModelCounters {
     pub cache_misses: u64,
 }
 
-/// Named models over a tiered [`BundleStore`] with an LRU result cache —
+/// Named models over a [`BundleStore`] with an LRU result cache —
 /// the lookup layer of the serving subsystem.
 pub struct PredictorRegistry {
     store: BundleStore,
@@ -180,7 +179,7 @@ impl PredictorRegistry {
         Ok(PredictorRegistry::with_store(store, cache_capacity))
     }
 
-    /// The underlying tiered store.
+    /// The underlying bundle store.
     pub fn store(&self) -> &BundleStore {
         &self.store
     }
@@ -219,9 +218,7 @@ impl PredictorRegistry {
         self.insert(name, ModelBundle::from_bytes(bytes)?)
     }
 
-    /// Streams a bundle file into the registry under `name` via the
-    /// seekable reader — one member envelope in memory at a time, never the
-    /// whole file.
+    /// Reads a bundle file and registers it under `name`.
     ///
     /// # Errors
     /// Filesystem, bundle validation, and write-through failures.
@@ -233,15 +230,15 @@ impl PredictorRegistry {
         self.insert(name, ModelBundle::load_path(path.as_ref())?)
     }
 
-    /// The bundle registered under `name`, promoted to the hot tier if it
-    /// was warm or durable. `None` when the name is unregistered *or* its
+    /// The bundle registered under `name`, decoded into the hot tier if it
+    /// was only durable. `None` when the name is unregistered *or* its
     /// backing file failed to load (use [`PredictorRegistry::lookup_model`]
     /// for the error).
     pub fn get(&self, name: &str) -> Option<Arc<ModelBundle>> {
         self.store.fetch(name).ok().map(|(_, b)| b)
     }
 
-    /// Unregisters a model from every tier (deleting its durable file),
+    /// Unregisters a model (deleting its durable file),
     /// returning whether it existed. The model's cached results are
     /// evicted with it; in-flight predicts holding the bundle's `Arc` are
     /// unaffected.
@@ -258,14 +255,14 @@ impl PredictorRegistry {
         }
     }
 
-    /// Registered model names (every tier), sorted.
+    /// Registered model names (hot or durable), sorted.
     pub fn names(&self) -> Vec<String> {
         let mut names = self.store.names();
         names.sort();
         names
     }
 
-    /// Number of registered models (every tier).
+    /// Number of registered models (hot or durable).
     pub fn len(&self) -> usize {
         self.store.len()
     }
@@ -320,8 +317,8 @@ impl PredictorRegistry {
         }
     }
 
-    /// Resolves `name` to its (version, bundle) pair, promoting through the
-    /// store tiers as needed — the public face of the hook the TCP ingress
+    /// Resolves `name` to its (version, bundle) pair, decoding a durable
+    /// entry as needed — the public face of the hook the TCP ingress
     /// uses to pin a model version at admission time.
     ///
     /// # Errors
@@ -344,7 +341,7 @@ impl PredictorRegistry {
     /// Evaluation is immediate — nothing queues, so a
     /// [`ServeRequest::with_deadline_ms`] budget cannot expire here and is
     /// not consulted. Deadlines bite where requests *wait*: the
-    /// [`DynamicBatcher`](crate::DynamicBatcher) drains and the TCP ingress
+    /// [`PredictorRegistry::serve_requests`] drains and the TCP ingress
     /// queue.
     ///
     /// # Errors
@@ -379,8 +376,8 @@ impl PredictorRegistry {
     /// responses in input order, each bitwise identical to a sequential
     /// [`ModelBundle::predict_one`] on its model. The requests are ordered
     /// by model (first-appearance order) and answered in one pass of the
-    /// chunked loop behind [`DynamicBatcher`](crate::DynamicBatcher), so
-    /// same-model requests share multi-query tape passes. Deadline budgets are
+    /// engine's chunked loop, `batch` requests per chunk on up to `workers`
+    /// workers, so same-model requests share multi-query tape passes. Deadline budgets are
     /// relative to the start of the call. Streams bypass the result cache
     /// — coalesced tape passes are already the batch-rate path, and
     /// flooding the LRU with a one-off sweep would evict the hot NAS
@@ -621,6 +618,26 @@ mod tests {
         let cfg = ServeConfig::builder().workers(1).batch(4).build();
         reg.serve_requests(&reqs, &cfg).unwrap();
         assert_eq!(reg.model_stats()["a"].served, 9);
+    }
+
+    #[test]
+    fn malformed_queries_are_rejected_before_enqueue() {
+        let mut reg = PredictorRegistry::new(0);
+        reg.insert("m", bundle(15)).unwrap();
+        let cfg = ServeConfig::builder().build();
+        let good = ServeRequest::new("m", Arch::nb201_from_index(0), 1);
+        let bad_device = ServeRequest::new("m", Arch::nb201_from_index(0), 99);
+        assert!(matches!(
+            reg.serve_requests(&[good.clone(), bad_device], &cfg).unwrap_err(),
+            ServeError::BadQuery(d) if d.contains("device 99")
+        ));
+        let bad_space = ServeRequest::new("m", Arch::new(Space::Fbnet, vec![4; 22]), 0);
+        assert!(matches!(
+            reg.serve_requests(&[good, bad_space], &cfg).unwrap_err(),
+            ServeError::BadQuery(d) if d.contains("Fbnet")
+        ));
+        // Validation runs before anything is evaluated or credited.
+        assert!(reg.model_stats().is_empty());
     }
 
     #[test]

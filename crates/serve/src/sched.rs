@@ -62,23 +62,6 @@ pub enum SchedPolicy {
     Edf,
 }
 
-impl SchedPolicy {
-    /// The policy from `NASFLAT_SCHED_POLICY` (`fifo` | `edf`,
-    /// case-insensitive). Unset or malformed values warn and fall back to
-    /// [`SchedPolicy::Edf`].
-    pub fn from_env() -> SchedPolicy {
-        match std::env::var("NASFLAT_SCHED_POLICY") {
-            Ok(raw) => raw.parse().unwrap_or_else(|_| {
-                eprintln!(
-                    "warning: NASFLAT_SCHED_POLICY={raw:?} is not 'fifo' or 'edf'; using edf"
-                );
-                SchedPolicy::Edf
-            }),
-            Err(_) => SchedPolicy::Edf,
-        }
-    }
-}
-
 impl core::str::FromStr for SchedPolicy {
     type Err = String;
 

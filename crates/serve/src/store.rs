@@ -1,16 +1,15 @@
-//! The tiered bundle store: **hot / warm / durable** model residency.
+//! The bundle store: **hot / durable** model residency.
 //!
-//! A fleet-scale registry cannot keep thousands of decoded predictors on
-//! the heap. [`BundleStore`] holds each named model in exactly one of three
-//! tiers and moves it between them on demand:
+//! A registry serving many models cannot keep every decoded predictor on
+//! the heap. [`BundleStore`] holds each named model either hot or durable
+//! and moves it between the two on demand:
 //!
 //! ```text
-//!            fetch (decode weights)            publish / load
-//!   durable ───────────────► hot ◄──────────────── operator
-//!      │                      │
-//!      │ warm (parse header)  │ LRU eviction over capacity
-//!      ▼                      ▼
-//!    warm  ◄──────────────── warm (metadata rebuilt in memory)
+//!            fetch (read + decode the file)      publish / load
+//!   durable ─────────────────────────────► hot ◄──────────────── operator
+//!      ▲                                    │
+//!      └────────────────────────────────────┘
+//!            LRU eviction over capacity (drop the decoded Arc)
 //! ```
 //!
 //! - **durable** — an on-disk directory of `NFB1` files plus a small
@@ -20,17 +19,13 @@
 //!   fails to parse is moved to a `quarantine/` subdirectory and its entry
 //!   dropped — corruption surfaces as a clean [`ServeError::Bundle`] chain,
 //!   never a panic, and never a retry loop on the same bad bytes.
-//! - **warm** — a parsed [`BundleMeta`]: the bundle header and first
-//!   member's metadata with every weight blob skipped via seek. A warm
-//!   entry costs a few hundred bytes and can answer routing questions
-//!   (space, device roster, member count) without touching the weights.
 //! - **hot** — a fully decoded [`Arc<ModelBundle>`] ready to predict. The
-//!   hot tier has a configurable capacity; exceeding it demotes the
-//!   least-recently-fetched *disk-backed* entry back to warm. Because hot
-//!   bundles are handed out as `Arc`s, eviction is **pin-safe**: a predict
-//!   already holding the `Arc` keeps the decoded model alive until it
-//!   finishes, and the later reload decodes the same bytes to a
-//!   bit-identical model, so eviction can never change a result.
+//!   hot tier has a configurable capacity; exceeding it drops the decoded
+//!   bundle of the least-recently-fetched *disk-backed* entry, leaving it
+//!   durable. Because hot bundles are handed out as `Arc`s, eviction is
+//!   **pin-safe**: a predict already holding the `Arc` keeps the decoded
+//!   model alive until it finishes, and the later reload decodes the same
+//!   bytes to a bit-identical model, so eviction can never change a result.
 //!
 //! Entries without disk backing (an in-memory store, or a memory-only
 //! publish) are never evicted — dropping the only copy would lose the
@@ -43,7 +38,7 @@ use std::sync::{Arc, Mutex};
 
 use nasflat_tensor::{ByteReader, ByteWriter};
 
-use crate::bundle::{BundleError, BundleMeta, ModelBundle};
+use crate::bundle::{BundleError, ModelBundle};
 use crate::error::ServeError;
 use nasflat_core::ModelIoError;
 
@@ -59,23 +54,15 @@ const INDEX_FILE: &str = "index.nfbi";
 /// Subdirectory corrupt bundle files are moved into.
 const QUARANTINE_DIR: &str = "quarantine";
 
-/// Which tier a store entry currently occupies.
-enum Tier {
-    /// Fully decoded and ready to predict.
-    Hot(Arc<ModelBundle>),
-    /// Metadata parsed, weights still on disk (or reconstructible there).
-    Warm(Arc<BundleMeta>),
-    /// Known only through the index; nothing parsed yet.
-    Durable,
-}
-
 struct Entry {
     /// Process-unique version; bumped only by publish, never by tier moves,
     /// so cached results stay valid across evict/reload cycles.
     version: u64,
     /// Backing file, when the entry is durable.
     file: Option<PathBuf>,
-    tier: Tier,
+    /// The decoded bundle while the entry is hot; `None` while it is only
+    /// durable.
+    hot: Option<Arc<ModelBundle>>,
     /// Recency stamp of the last fetch (hot entries only participate in
     /// LRU selection).
     touch: u64,
@@ -100,28 +87,23 @@ impl StoreState {
     }
 
     fn hot_count(&self) -> usize {
-        self.entries
-            .values()
-            .filter(|e| matches!(e.tier, Tier::Hot(_)))
-            .count()
+        self.entries.values().filter(|e| e.hot.is_some()).count()
     }
 }
 
-/// Occupancy and movement counters of a [`BundleStore`] — the tier half of
-/// the numbers the `STATS` wire op reports.
+/// Occupancy and movement counters of a [`BundleStore`], exported as the
+/// `nasflat_store_*` families of the ingress `METRICS` exposition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TierStats {
     /// Entries currently holding a decoded bundle.
     pub hot: usize,
-    /// Entries currently holding only parsed metadata.
-    pub warm: usize,
-    /// Entries with an on-disk backing file (any tier).
+    /// Entries with an on-disk backing file (hot or not).
     pub durable: usize,
     /// Hot-tier capacity (0 = unbounded).
     pub hot_capacity: usize,
-    /// Hot→warm demotions forced by the capacity bound.
+    /// Hot→durable evictions forced by the capacity bound.
     pub evictions: u64,
-    /// Full weight decodes served from disk (durable/warm → hot).
+    /// Full bundle decodes served from disk (durable → hot).
     pub cold_loads: u64,
     /// Bundle files moved to quarantine after failing to parse.
     pub quarantined: u64,
@@ -138,7 +120,7 @@ pub struct StoreUpdate {
     pub bundle: Arc<ModelBundle>,
 }
 
-/// A hot/warm/durable tiered home for named [`ModelBundle`]s.
+/// A hot/durable home for named [`ModelBundle`]s.
 ///
 /// All methods take `&self`: the store is internally synchronized, so a
 /// registry can promote and evict behind a shared read lock. See the
@@ -208,7 +190,7 @@ impl BundleStore {
                 Entry {
                     version: next_version,
                     file: Some(path),
-                    tier: Tier::Durable,
+                    hot: None,
                     touch: 0,
                 },
             );
@@ -261,22 +243,9 @@ impl BundleStore {
     /// Tier occupancy and movement counters.
     pub fn stats(&self) -> TierStats {
         let state = self.state.lock().unwrap();
-        let mut hot = 0;
-        let mut warm = 0;
-        let mut durable = 0;
-        for e in state.entries.values() {
-            match e.tier {
-                Tier::Hot(_) => hot += 1,
-                Tier::Warm(_) => warm += 1,
-                Tier::Durable => {}
-            }
-            if e.file.is_some() {
-                durable += 1;
-            }
-        }
+        let durable = state.entries.values().filter(|e| e.file.is_some()).count();
         TierStats {
-            hot,
-            warm,
+            hot: state.hot_count(),
             durable,
             hot_capacity: self.hot_capacity,
             evictions: self.evictions.load(Ordering::Relaxed),
@@ -290,8 +259,8 @@ impl BundleStore {
     /// On a durable store the bundle is first written to disk through a
     /// temp-file + atomic-rename sequence and the index updated, then the
     /// decoded bundle enters the hot tier (publish implies imminent use).
-    /// Exceeding the hot capacity demotes the least-recently-fetched
-    /// disk-backed entry to warm.
+    /// Exceeding the hot capacity evicts the least-recently-fetched
+    /// disk-backed entry.
     ///
     /// # Errors
     /// [`ServeError::Io`] when the write-through fails; the in-memory state
@@ -317,7 +286,7 @@ impl BundleStore {
                 Entry {
                     version,
                     file,
-                    tier: Tier::Hot(Arc::clone(&arc)),
+                    hot: Some(Arc::clone(&arc)),
                     touch,
                 },
             )
@@ -333,11 +302,10 @@ impl BundleStore {
         })
     }
 
-    /// Fetches the decoded bundle for `name`, promoting through the tiers
-    /// as needed: durable entries get their metadata parsed (durable→warm),
-    /// then their weights decoded (warm→hot). The returned `Arc` pins the
-    /// decoded model for as long as the caller holds it, independent of any
-    /// later eviction.
+    /// Fetches the decoded bundle for `name`. A durable entry is read and
+    /// decoded in one [`ModelBundle::load_path`] and becomes hot. The
+    /// returned `Arc` pins the decoded model for as long as the caller
+    /// holds it, independent of any later eviction.
     ///
     /// # Errors
     /// [`ServeError::UnknownModel`] for unregistered names;
@@ -346,73 +314,30 @@ impl BundleStore {
     /// failure (the entry is kept — the fault may be transient).
     pub fn fetch(&self, name: &str) -> Result<(u64, Arc<ModelBundle>), ServeError> {
         let mut state = self.state.lock().unwrap();
+        let touch = state.next_touch();
         let entry = state
             .entries
-            .get(name)
+            .get_mut(name)
             .ok_or_else(|| ServeError::UnknownModel(name.to_string()))?;
         let version = entry.version;
-        let path = match &entry.tier {
-            Tier::Hot(bundle) => {
-                let bundle = Arc::clone(bundle);
-                let touch = state.next_touch();
-                state.entries.get_mut(name).expect("present").touch = touch;
-                return Ok((version, bundle));
-            }
-            Tier::Warm(_) | Tier::Durable => entry
-                .file
-                .clone()
-                .expect("non-hot entries always have a backing file"),
-        };
-        // Durable → warm: parse the metadata prefix (and surface corruption
-        // on the cheap header read before paying for the weight decode).
-        if matches!(entry.tier, Tier::Durable) {
-            let meta = match BundleMeta::load_path(&path) {
-                Ok(meta) => meta,
-                Err(e) => return Err(self.reject_file(&mut state, name, e)),
-            };
-            state.entries.get_mut(name).expect("present").tier = Tier::Warm(Arc::new(meta));
+        if let Some(bundle) = &entry.hot {
+            entry.touch = touch;
+            return Ok((version, Arc::clone(bundle)));
         }
-        // Warm → hot: decode the weights.
+        let path = entry
+            .file
+            .clone()
+            .expect("entries that are not hot always have a backing file");
         let bundle = match ModelBundle::load_path(&path) {
             Ok(bundle) => Arc::new(bundle),
             Err(e) => return Err(self.reject_file(&mut state, name, e)),
         };
         self.cold_loads.fetch_add(1, Ordering::Relaxed);
-        let touch = state.next_touch();
         let entry = state.entries.get_mut(name).expect("present");
-        entry.tier = Tier::Hot(Arc::clone(&bundle));
+        entry.hot = Some(Arc::clone(&bundle));
         entry.touch = touch;
         self.evict_excess(&mut state);
         Ok((version, bundle))
-    }
-
-    /// The warm view of `name`: parsed metadata without decoding weights.
-    /// Promotes durable→warm; hot and warm entries answer from memory.
-    ///
-    /// # Errors
-    /// Same conditions as [`BundleStore::fetch`], minus the weight decode.
-    pub fn warm(&self, name: &str) -> Result<Arc<BundleMeta>, ServeError> {
-        let mut state = self.state.lock().unwrap();
-        let entry = state
-            .entries
-            .get(name)
-            .ok_or_else(|| ServeError::UnknownModel(name.to_string()))?;
-        match &entry.tier {
-            Tier::Hot(bundle) => Ok(Arc::new(BundleMeta::of(bundle))),
-            Tier::Warm(meta) => Ok(Arc::clone(meta)),
-            Tier::Durable => {
-                let path = entry
-                    .file
-                    .clone()
-                    .expect("durable entries always have a backing file");
-                let meta = match BundleMeta::load_path(&path) {
-                    Ok(meta) => Arc::new(meta),
-                    Err(e) => return Err(self.reject_file(&mut state, name, e)),
-                };
-                state.entries.get_mut(name).expect("present").tier = Tier::Warm(Arc::clone(&meta));
-                Ok(meta)
-            }
-        }
     }
 
     /// The current version of `name`, when registered.
@@ -425,7 +350,7 @@ impl BundleStore {
             .map(|e| e.version)
     }
 
-    /// Removes `name` from every tier, deleting its backing file and index
+    /// Removes `name` from the store, deleting its backing file and index
     /// row. Returns the removed version, or `None` if the name was not
     /// registered. In-flight predicts holding the bundle's `Arc` are
     /// unaffected.
@@ -451,10 +376,10 @@ impl BundleStore {
         Ok(Some(entry.version))
     }
 
-    /// Demotes hot entries (LRU-first) until the hot tier fits its
-    /// capacity. Only disk-backed entries are candidates; the demoted
-    /// metadata is rebuilt from the in-memory bundle, so demotion never
-    /// touches the disk.
+    /// Evicts hot entries (LRU-first) until the hot tier fits its
+    /// capacity. Only disk-backed entries are candidates: eviction drops the
+    /// decoded bundle and leaves the entry durable, so it never touches the
+    /// disk.
     fn evict_excess(&self, state: &mut StoreState) {
         if self.hot_capacity == 0 {
             return;
@@ -463,17 +388,14 @@ impl BundleStore {
             let victim = state
                 .entries
                 .iter()
-                .filter(|(_, e)| matches!(e.tier, Tier::Hot(_)) && e.file.is_some())
+                .filter(|(_, e)| e.hot.is_some() && e.file.is_some())
                 .min_by_key(|(_, e)| e.touch)
                 .map(|(name, _)| name.clone());
             let Some(name) = victim else {
                 break; // nothing evictable (memory-only residents)
             };
-            let entry = state.entries.get_mut(&name).expect("victim present");
-            if let Tier::Hot(bundle) = &entry.tier {
-                entry.tier = Tier::Warm(Arc::new(BundleMeta::of(bundle)));
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+            state.entries.get_mut(&name).expect("victim present").hot = None;
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -674,7 +596,7 @@ mod tests {
         assert_eq!(up2.version, 2);
         // Capacity 1 but nothing is disk-backed: no eviction possible.
         let s = store.stats();
-        assert_eq!((s.hot, s.warm, s.durable, s.evictions), (2, 0, 0, 0));
+        assert_eq!((s.hot, s.durable, s.evictions), (2, 0, 0));
         let (v, b) = store.fetch("m1").unwrap();
         assert_eq!(v, 1);
         let arch = Arch::nb201_from_index(7);
@@ -705,7 +627,7 @@ mod tests {
         let store = BundleStore::open(&dir, 0).unwrap();
         assert_eq!(store.len(), 3);
         let s = store.stats();
-        assert_eq!((s.hot, s.warm, s.durable), (0, 0, 3));
+        assert_eq!((s.hot, s.durable), (0, 3));
         for (i, &bits) in expect.iter().enumerate() {
             let (_, b) = store.fetch(&format!("m{i}")).unwrap();
             assert_eq!(b.predict_one(&arch, 0).to_bits(), bits, "model {i}");
@@ -722,22 +644,20 @@ mod tests {
     }
 
     #[test]
-    fn warm_promotion_parses_metadata_only() {
-        let dir = tmp_dir("warm");
+    fn durable_fetch_decodes_straight_to_hot() {
+        let dir = tmp_dir("durable_fetch");
         {
             let store = BundleStore::open(&dir, 0).unwrap();
             store.publish("m", bundle(5)).unwrap();
         }
         let store = BundleStore::open(&dir, 0).unwrap();
-        let meta = store.warm("m").unwrap();
-        assert_eq!(meta.space(), Space::Nb201);
-        assert_eq!(meta.devices().len(), 2);
         let s = store.stats();
-        assert_eq!((s.hot, s.warm, s.cold_loads), (0, 1, 0));
-        // Fetch then completes the promotion to hot.
+        assert_eq!((s.hot, s.durable, s.cold_loads), (0, 1, 0));
+        // One fetch reads and decodes the file; the next is served hot.
+        store.fetch("m").unwrap();
         store.fetch("m").unwrap();
         let s = store.stats();
-        assert_eq!((s.hot, s.warm, s.cold_loads), (1, 0, 1));
+        assert_eq!((s.hot, s.durable, s.cold_loads), (1, 1, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -756,9 +676,11 @@ mod tests {
                     .to_bits()
             })
             .collect();
-        // Publishing three into capacity 2 demoted the LRU entry (m0).
+        // Publishing three into capacity 2 evicted the LRU entry (m0): its
+        // decoded bundle is gone and it stays durable.
         let s = store.stats();
-        assert_eq!((s.hot, s.warm, s.evictions), (2, 1, 1));
+        assert_eq!((s.hot, s.durable, s.evictions), (2, 3, 1));
+        assert!(store.state.lock().unwrap().entries["m0"].hot.is_none());
         // Pin-during-predict: hold m1's Arc, force its eviction, and the
         // pinned instance still predicts.
         let (_, pinned) = store.fetch("m1").unwrap();

@@ -1,13 +1,13 @@
 //! The serving subsystem's acceptance suite: a saved-and-reloaded predictor
-//! serves a 256-query mixed-device stream through the [`DynamicBatcher`]
-//! with results **bitwise identical** to a sequential per-query
-//! [`LatencyPredictor::predict`] loop, at 1, 2, and 8 worker threads and
-//! across batch limits — the end-to-end form of the block-diagonal
-//! determinism contract.
+//! serves a 256-query mixed-device stream through
+//! [`PredictorRegistry::serve_requests`] with results **bitwise identical**
+//! to a sequential per-query [`LatencyPredictor::predict`] loop, at 1, 2,
+//! and 8 worker threads and across batch limits — the end-to-end form of
+//! the block-diagonal determinism contract.
 
 use nasflat_core::{LatencyPredictor, PredictorConfig};
 use nasflat_encode::{ColumnStats, EncodingKind};
-use nasflat_serve::{DynamicBatcher, ModelBundle, ServeConfig, ServeQuery};
+use nasflat_serve::{ModelBundle, PredictorRegistry, ServeConfig, ServeRequest};
 use nasflat_space::{Arch, Space};
 
 fn tiny_cfg(seed: u64) -> PredictorConfig {
@@ -26,12 +26,16 @@ fn device_names(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("dev_{i}")).collect()
 }
 
+/// Model name every test registers its bundle under.
+const MODEL: &str = "m";
+
 /// A 256-query stream cycling every device (the acceptance criterion's
 /// "mixed-device stream").
-fn mixed_stream(n: usize, num_devices: usize) -> Vec<ServeQuery> {
+fn mixed_stream(n: usize, num_devices: usize) -> Vec<ServeRequest> {
     (0..n)
         .map(|i| {
-            ServeQuery::new(
+            ServeRequest::new(
+                MODEL,
                 Arch::nb201_from_index((i as u64 * 547 + 13) % 15_625),
                 i % num_devices,
             )
@@ -39,10 +43,31 @@ fn mixed_stream(n: usize, num_devices: usize) -> Vec<ServeQuery> {
         .collect()
 }
 
-fn reference_scores(bundle: &ModelBundle, queries: &[ServeQuery]) -> Vec<u32> {
-    queries
+fn reference_scores(bundle: &ModelBundle, requests: &[ServeRequest]) -> Vec<u32> {
+    requests
         .iter()
-        .map(|q| bundle.predict_one(&q.arch, q.device).to_bits())
+        .map(|r| bundle.predict_one(&r.arch, r.device).to_bits())
+        .collect()
+}
+
+/// A registry serving `bundle` under [`MODEL`], with the result cache off.
+fn registry(bundle: ModelBundle) -> PredictorRegistry {
+    let mut registry = PredictorRegistry::new(0);
+    registry.insert(MODEL, bundle).expect("in-memory insert");
+    registry
+}
+
+/// Serves `requests` through the registry and returns the score bits.
+fn served_bits(
+    registry: &PredictorRegistry,
+    requests: &[ServeRequest],
+    cfg: &ServeConfig,
+) -> Vec<u32> {
+    registry
+        .serve_requests(requests, cfg)
+        .expect("validated stream")
+        .iter()
+        .map(|r| r.score.to_bits())
         .collect()
 }
 
@@ -63,27 +88,19 @@ fn reloaded_bundle_serves_256_mixed_device_queries_bitwise_at_1_2_8_workers() {
     let queries = mixed_stream(256, 5);
     // The reference: a sequential per-query predict loop.
     let expect = reference_scores(&reloaded, &queries);
+    let registry = registry(reloaded);
 
+    let mut served = 0;
     for workers in [1usize, 2, 8] {
         for batch in [1usize, 7, 16] {
             let cfg = ServeConfig::builder().workers(workers).batch(batch).build();
-            let batcher = DynamicBatcher::new(&reloaded, cfg);
-            let (scores, metrics) = batcher
-                .serve_with_metrics(&queries)
-                .expect("validated stream");
-            let got: Vec<u32> = scores.iter().map(|v| v.to_bits()).collect();
+            let got = served_bits(&registry, &queries, &cfg);
             assert_eq!(
                 got, expect,
                 "drained results diverged at {workers} workers, batch {batch}"
             );
-            assert_eq!(metrics.queries_served, 256);
-            assert!(metrics.max_group <= batch.max(1) as u64);
-            // One tape pass per coalesced group; per-query serving runs
-            // one pass per query.
-            assert_eq!(metrics.tape_passes, metrics.groups);
-            if batch <= 1 {
-                assert_eq!(metrics.tape_passes, 256);
-            }
+            served += 256;
+            assert_eq!(registry.model_stats()[MODEL].served, served);
         }
     }
 }
@@ -101,10 +118,7 @@ fn ensemble_bundle_serves_the_member_mean_bitwise() {
     let queries = mixed_stream(64, 3);
     let expect = reference_scores(&reloaded, &queries);
     let cfg = ServeConfig::builder().workers(2).batch(8).build();
-    let scores = DynamicBatcher::new(&reloaded, cfg)
-        .serve(&queries)
-        .expect("validated stream");
-    let got: Vec<u32> = scores.iter().map(|v| v.to_bits()).collect();
+    let got = served_bits(&registry(reloaded), &queries, &cfg);
     assert_eq!(got, expect, "ensemble serving diverged from the mean loop");
 }
 
@@ -129,10 +143,7 @@ fn zcp_supplemented_bundle_serves_from_the_norms_snapshot() {
     let queries = mixed_stream(48, 2);
     let expect = reference_scores(&reloaded, &queries);
     let cfg = ServeConfig::builder().workers(8).batch(16).build();
-    let scores = DynamicBatcher::new(&reloaded, cfg)
-        .serve(&queries)
-        .expect("validated stream");
-    let got: Vec<u32> = scores.iter().map(|v| v.to_bits()).collect();
+    let got = served_bits(&registry(reloaded), &queries, &cfg);
     assert_eq!(got, expect, "supplemented serving diverged");
 }
 
@@ -146,18 +157,14 @@ fn fbnet_bundle_serves_mixed_devices_bitwise() {
         tiny_cfg(21),
     ))
     .expect("valid");
-    let queries: Vec<ServeQuery> = (0..96)
+    let queries: Vec<ServeRequest> = (0..96)
         .map(|i| {
             let genotype: Vec<u8> = (0..22).map(|j| ((i + j) % 9) as u8).collect();
-            ServeQuery::new(Arch::new(Space::Fbnet, genotype), i % 4)
+            ServeRequest::new(MODEL, Arch::new(Space::Fbnet, genotype), i % 4)
         })
         .collect();
     let expect = reference_scores(&bundle, &queries);
     let cfg = ServeConfig::builder().workers(2).batch(8).build();
-    let (scores, metrics) = DynamicBatcher::new(&bundle, cfg)
-        .serve_with_metrics(&queries)
-        .expect("validated stream");
-    let got: Vec<u32> = scores.iter().map(|v| v.to_bits()).collect();
+    let got = served_bits(&registry(bundle), &queries, &cfg);
     assert_eq!(got, expect);
-    assert_eq!(metrics.tape_passes, metrics.groups);
 }

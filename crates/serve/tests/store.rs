@@ -1,4 +1,4 @@
-//! Acceptance suite of the tiered bundle store: a disk-backed registry
+//! Acceptance suite of the bundle store: a disk-backed registry
 //! whose hot tier holds only 2 decoded bundles must serve a 64-query
 //! mixed-model stream — forcing LRU evictions and durable reloads along
 //! the way — **bitwise identical** to an uncapped in-memory registry, and
@@ -137,7 +137,7 @@ fn reopened_store_serves_bit_identical_to_the_publisher() {
     };
 
     // A brand-new registry over the same directory: everything starts
-    // durable and promotes durable → warm → hot on first use.
+    // durable and is decoded into the hot tier on first use.
     let reopened = PredictorRegistry::with_store(BundleStore::open(scratch.path(), 1).unwrap(), 0);
     assert_eq!(reopened.names(), vec!["alpha".to_string(), "beta".into()]);
     assert_eq!(reopened.tier_stats().hot, 0, "nothing decoded yet");

@@ -6,7 +6,7 @@
 //! predictor carries little directly transferable signal.
 
 use nasflat_hw::{DeviceRegistry, LatencyTable};
-use nasflat_metrics::spearman_rho;
+use nasflat_metrics::{pearson, rank_average};
 use nasflat_space::{fbnet_pool, Arch, Space};
 
 use crate::task::Task;
@@ -22,6 +22,11 @@ pub struct CorrelationMatrix {
 impl CorrelationMatrix {
     /// Computes pairwise Spearman correlations from a latency table.
     ///
+    /// Each device row is ranked once, and each pair takes the Pearson
+    /// correlation of the two rank rows: bitwise
+    /// [`spearman_rho`](nasflat_metrics::spearman_rho) of the raw rows. A
+    /// pair with a constant row has no correlation and reads 0.
+    ///
     /// # Panics
     /// Panics if the table has fewer than two devices or two architectures.
     pub fn from_table(table: &LatencyTable) -> Self {
@@ -29,11 +34,12 @@ impl CorrelationMatrix {
         assert!(n >= 2, "need at least two devices");
         assert!(table.num_archs() >= 2, "need at least two architectures");
         let names = table.device_names().to_vec();
+        let ranks: Vec<Vec<f32>> = (0..n).map(|i| rank_average(table.row(i))).collect();
         let mut rho = vec![0.0f32; n * n];
         for i in 0..n {
             rho[i * n + i] = 1.0;
             for j in (i + 1)..n {
-                let r = spearman_rho(table.row(i), table.row(j)).unwrap_or(0.0);
+                let r = pearson(&ranks[i], &ranks[j]).unwrap_or(0.0);
                 rho[i * n + j] = r;
                 rho[j * n + i] = r;
             }
@@ -192,6 +198,26 @@ mod tests {
         let w = m.mean_within(&group);
         let direct = m.by_name("1080ti_1", "2080ti_1").unwrap();
         assert!((w - direct).abs() < 1e-6);
+    }
+
+    #[test]
+    fn ranked_rows_match_per_pair_spearman_bitwise() {
+        // Every architecture appears twice, so every row carries ties.
+        let pool = probe_pool(Space::Nb201, 12, 5);
+        let archs = [pool.as_slice(), pool.as_slice()].concat();
+        let registry = DeviceRegistry::for_space(Space::Nb201);
+        let table = LatencyTable::build(registry.devices(), &archs);
+        let m = CorrelationMatrix::from_table(&table);
+        for i in 0..m.len() {
+            for j in 0..m.len() {
+                let want = if i == j {
+                    1.0
+                } else {
+                    nasflat_metrics::spearman_rho(table.row(i), table.row(j)).unwrap_or(0.0)
+                };
+                assert_eq!(m.get(i, j).to_bits(), want.to_bits(), "({i}, {j})");
+            }
+        }
     }
 
     #[test]

@@ -64,5 +64,5 @@ pub use graph::{Graph, Var};
 pub use layers::{Activation, Embedding, LayerNorm, Linear, Mlp};
 pub use loss::{mse_loss, mse_loss_stacked, pairwise_hinge_loss, pairwise_hinge_loss_stacked};
 pub use params::{AdamConfig, ParamId, ParamStore};
-pub use serialize::{ByteReader, ByteWriter, LoadError, StreamError, StreamReader, WireError};
+pub use serialize::{ByteReader, ByteWriter, LoadError, WireError};
 pub use tensor::Tensor;

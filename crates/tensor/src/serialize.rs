@@ -47,226 +47,6 @@ impl core::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Why a streaming wire read failed (see [`StreamReader`]).
-///
-/// Unlike [`WireError`] this carries the underlying I/O error when the
-/// operating system — not the byte grammar — rejected the read, so callers
-/// can distinguish "the file is malformed" from "the disk went away".
-#[derive(Debug)]
-pub enum StreamError {
-    /// The stream violated the wire grammar (truncated or bad UTF-8).
-    Wire(WireError),
-    /// The underlying reader failed.
-    Io(std::io::Error),
-}
-
-impl core::fmt::Display for StreamError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            StreamError::Wire(e) => write!(f, "{e}"),
-            StreamError::Io(e) => write!(f, "stream read failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for StreamError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            StreamError::Wire(e) => Some(e),
-            StreamError::Io(e) => Some(e),
-        }
-    }
-}
-
-impl From<WireError> for StreamError {
-    fn from(e: WireError) -> Self {
-        StreamError::Wire(e)
-    }
-}
-
-/// Bounds-checked little-endian reader over a seekable byte stream: the
-/// streaming counterpart of [`ByteReader`] for callers that must not pull a
-/// whole file into memory before decoding (bundle directories can hold
-/// thousands of NFB1 files).
-///
-/// The reader is constructed with the stream's declared byte length and
-/// enforces it exactly like [`ByteReader`] enforces its slice bounds: every
-/// accessor verifies the remaining budget *before* reading or allocating,
-/// so a corrupt length prefix surfaces as
-/// [`StreamError::Wire`]`(`[`WireError::Truncated`]`)` instead of a panic
-/// or an absurd allocation. [`StreamReader::skip`] advances past a region
-/// (e.g. a weight blob whose decode is being deferred) with a relative
-/// seek, without touching the payload bytes.
-#[derive(Debug)]
-pub struct StreamReader<R> {
-    inner: R,
-    remaining: u64,
-}
-
-impl<R: std::io::Read + std::io::Seek> StreamReader<R> {
-    /// A reader over `inner`, which holds `len` bytes from its current
-    /// position to the end of the logical stream.
-    pub fn new(inner: R, len: u64) -> Self {
-        StreamReader {
-            inner,
-            remaining: len,
-        }
-    }
-
-    /// Bytes not yet consumed (per the declared length).
-    pub fn remaining(&self) -> usize {
-        usize::try_from(self.remaining).unwrap_or(usize::MAX)
-    }
-
-    /// Whether the stream is exhausted.
-    pub fn is_empty(&self) -> bool {
-        self.remaining == 0
-    }
-
-    /// Consumes the reader, returning the underlying stream.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-
-    fn take(&mut self, n: usize) -> Result<(), StreamError> {
-        let n = n as u64;
-        if self.remaining < n {
-            return Err(WireError::Truncated.into());
-        }
-        self.remaining -= n;
-        Ok(())
-    }
-
-    fn fill(&mut self, buf: &mut [u8]) -> Result<(), StreamError> {
-        self.inner.read_exact(buf).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                // The physical stream is shorter than its declared length
-                // (e.g. a file truncated after it was stat'ed): that is a
-                // wire-grammar violation, not an environment failure.
-                StreamError::Wire(WireError::Truncated)
-            } else {
-                StreamError::Io(e)
-            }
-        })
-    }
-
-    /// Reads `n` raw bytes into a fresh vector. The remaining budget is
-    /// checked **before** allocating.
-    ///
-    /// # Errors
-    /// [`StreamError::Wire`] if fewer than `n` bytes remain,
-    /// [`StreamError::Io`] if the underlying reader fails.
-    pub fn get_vec(&mut self, n: usize) -> Result<Vec<u8>, StreamError> {
-        self.take(n)?;
-        let mut buf = vec![0u8; n];
-        self.fill(&mut buf)?;
-        Ok(buf)
-    }
-
-    /// Skips `n` bytes with a relative seek, without reading them.
-    ///
-    /// # Errors
-    /// [`StreamError::Wire`] if fewer than `n` bytes remain,
-    /// [`StreamError::Io`] if the seek fails.
-    pub fn skip(&mut self, n: usize) -> Result<(), StreamError> {
-        self.take(n)?;
-        let offset = i64::try_from(n).map_err(|_| WireError::Truncated)?;
-        self.inner.seek_relative(offset).map_err(StreamError::Io)
-    }
-
-    /// Reads one byte.
-    ///
-    /// # Errors
-    /// [`StreamError::Wire`] at end of stream, [`StreamError::Io`] on reader
-    /// failure.
-    pub fn get_u8(&mut self) -> Result<u8, StreamError> {
-        self.take(1)?;
-        let mut b = [0u8; 1];
-        self.fill(&mut b)?;
-        Ok(b[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    /// [`StreamError::Wire`] if fewer than 4 bytes remain,
-    /// [`StreamError::Io`] on reader failure.
-    pub fn get_u32(&mut self) -> Result<u32, StreamError> {
-        self.take(4)?;
-        let mut b = [0u8; 4];
-        self.fill(&mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    /// Reads a `usize` written by [`ByteWriter::put_len`].
-    ///
-    /// # Errors
-    /// [`StreamError::Wire`] if fewer than 4 bytes remain,
-    /// [`StreamError::Io`] on reader failure.
-    pub fn get_len(&mut self) -> Result<usize, StreamError> {
-        Ok(self.get_u32()? as usize)
-    }
-
-    /// Reads a little-endian `u64`.
-    ///
-    /// # Errors
-    /// [`StreamError::Wire`] if fewer than 8 bytes remain,
-    /// [`StreamError::Io`] on reader failure.
-    pub fn get_u64(&mut self) -> Result<u64, StreamError> {
-        self.take(8)?;
-        let mut b = [0u8; 8];
-        self.fill(&mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Reads an `f32` bit pattern (bit-exact inverse of
-    /// [`ByteWriter::put_f32`]).
-    ///
-    /// # Errors
-    /// [`StreamError::Wire`] if fewer than 4 bytes remain,
-    /// [`StreamError::Io`] on reader failure.
-    pub fn get_f32(&mut self) -> Result<f32, StreamError> {
-        Ok(f32::from_bits(self.get_u32()?))
-    }
-
-    /// Reads `n` `f32`s into a fresh vector, checking the remaining budget
-    /// before allocating.
-    ///
-    /// # Errors
-    /// [`StreamError::Wire`] if fewer than `4 * n` bytes remain,
-    /// [`StreamError::Io`] on reader failure.
-    pub fn get_f32_vec(&mut self, n: usize) -> Result<Vec<f32>, StreamError> {
-        let bytes = self.get_vec(n.checked_mul(4).ok_or(WireError::Truncated)?)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().expect("chunk of 4"))))
-            .collect())
-    }
-
-    /// Reads a length-prefixed UTF-8 string written by
-    /// [`ByteWriter::put_str`].
-    ///
-    /// # Errors
-    /// [`StreamError::Wire`] on short input or invalid contents,
-    /// [`StreamError::Io`] on reader failure.
-    pub fn get_string(&mut self) -> Result<String, StreamError> {
-        let n = self.get_len()?;
-        let bytes = self.get_vec(n)?;
-        String::from_utf8(bytes).map_err(|_| WireError::BadUtf8.into())
-    }
-
-    /// Reads a length-prefixed byte blob written by
-    /// [`ByteWriter::put_bytes`].
-    ///
-    /// # Errors
-    /// [`StreamError::Wire`] on short input, [`StreamError::Io`] on reader
-    /// failure.
-    pub fn get_blob(&mut self) -> Result<Vec<u8>, StreamError> {
-        let n = self.get_len()?;
-        self.get_vec(n)
-    }
-}
-
 /// Little-endian byte-stream writer: the encoding half of the wire
 /// primitives shared by every persistence format in the workspace.
 #[derive(Debug, Default)]
@@ -740,77 +520,6 @@ mod tests {
             ByteReader::new(&bytes).get_str().unwrap_err(),
             WireError::BadUtf8
         );
-    }
-
-    #[test]
-    fn stream_reader_matches_byte_reader() {
-        let mut w = ByteWriter::new();
-        w.put_u8(7);
-        w.put_u32(0xDEAD_BEEF);
-        w.put_u64(u64::MAX - 3);
-        w.put_f32(f32::NAN);
-        w.put_str("nasflat");
-        w.put_bytes(&[1, 2, 3]);
-        w.put_f32_slice(&[1.5, -2.25]);
-        let bytes = w.into_vec();
-
-        let cur = std::io::Cursor::new(bytes.clone());
-        let mut r = StreamReader::new(cur, bytes.len() as u64);
-        assert_eq!(r.get_u8().unwrap(), 7);
-        assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
-        assert_eq!(r.get_f32().unwrap().to_bits(), f32::NAN.to_bits());
-        assert_eq!(r.get_string().unwrap(), "nasflat");
-        assert_eq!(r.get_blob().unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.get_f32_vec(2).unwrap(), vec![1.5, -2.25]);
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn stream_reader_skip_advances_past_payload() {
-        let mut w = ByteWriter::new();
-        w.put_f32_slice(&[0.0; 64]); // a "weight blob" to skip
-        w.put_u32(42);
-        let bytes = w.into_vec();
-        let mut r = StreamReader::new(std::io::Cursor::new(bytes.clone()), bytes.len() as u64);
-        r.skip(64 * 4).unwrap();
-        assert_eq!(r.get_u32().unwrap(), 42);
-        assert!(r.is_empty());
-        // Skipping past the declared end is a wire error, not a panic.
-        let mut r = StreamReader::new(std::io::Cursor::new(bytes.clone()), bytes.len() as u64);
-        assert!(matches!(
-            r.skip(bytes.len() + 1),
-            Err(StreamError::Wire(WireError::Truncated))
-        ));
-    }
-
-    #[test]
-    fn stream_reader_enforces_declared_length() {
-        let mut w = ByteWriter::new();
-        w.put_str("hello");
-        let bytes = w.into_vec();
-        // Declared length shorter than the encoded string: truncated.
-        let mut r = StreamReader::new(std::io::Cursor::new(bytes.clone()), 4);
-        assert!(matches!(
-            r.get_string(),
-            Err(StreamError::Wire(WireError::Truncated))
-        ));
-        // Declared length longer than the physical stream: the EOF from the
-        // underlying reader is reported as truncation, not an I/O fault.
-        let mut r = StreamReader::new(std::io::Cursor::new(&bytes[..6]), bytes.len() as u64);
-        assert!(matches!(
-            r.get_string(),
-            Err(StreamError::Wire(WireError::Truncated))
-        ));
-        // A huge declared count must not allocate before the bounds check.
-        let mut w = ByteWriter::new();
-        w.put_u32(u32::MAX);
-        let huge = w.into_vec();
-        let mut r = StreamReader::new(std::io::Cursor::new(huge.clone()), huge.len() as u64);
-        assert!(matches!(
-            r.get_blob(),
-            Err(StreamError::Wire(WireError::Truncated))
-        ));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The deployment story this repository grows toward: pre-train once,
 //! export the predictor as a versioned bundle, reload it in a serving
-//! process, and answer a mixed-device query stream through the dynamic
-//! micro-batcher — verifying along the way that batched serving is
+//! process, and answer a mixed-device query stream through the registry's
+//! batched entry point — verifying along the way that batched serving is
 //! **bitwise identical** to a per-query predict loop, and faster.
 //!
 //! Run with: `cargo run --release --example serve_demo [-- <queries> <workers>]`
@@ -16,8 +16,7 @@ use std::time::Instant;
 use nasflat::core::{FewShotConfig, PretrainedTask};
 use nasflat::hw::{DeviceRegistry, LatencyTable};
 use nasflat::serve::{
-    DynamicBatcher, ModelBundle, PredictorRegistry, ServeConfig, ServeQuery, ServeRequest,
-    DEFAULT_SERVE_BATCH,
+    ModelBundle, PredictorRegistry, ServeConfig, ServeRequest, DEFAULT_SERVE_BATCH,
 };
 use nasflat::space::{Arch, Space};
 use nasflat::tasks::{paper_task, probe_pool};
@@ -73,9 +72,10 @@ fn main() {
 
     // 4. A mixed-device query stream — every device in the roster appears.
     let num_devices = model.devices().len();
-    let queries: Vec<ServeQuery> = (0..n_queries)
+    let queries: Vec<ServeRequest> = (0..n_queries)
         .map(|i| {
-            ServeQuery::new(
+            ServeRequest::new(
+                "nd-quick",
                 Arch::nb201_from_index((i as u64 * 379 + 11) % 15_625),
                 i % num_devices,
             )
@@ -89,38 +89,34 @@ fn main() {
         .map(|q| model.predict_one(&q.arch, q.device).to_bits())
         .collect();
 
-    let serve_cfg = ServeConfig::builder().workers(workers).build();
     let mut failures = 0usize;
     for (label, batch) in [
         ("per-query serving (batch 1)", 1usize),
-        ("dynamic micro-batching", DEFAULT_SERVE_BATCH),
+        ("multi-query tape passes", DEFAULT_SERVE_BATCH),
     ] {
-        let batcher = DynamicBatcher::new(&model, serve_cfg.clone().with_batch(batch));
+        let serve_cfg = ServeConfig::builder().workers(workers).batch(batch).build();
         let t0 = Instant::now();
-        let (scores, metrics) = batcher
-            .serve_with_metrics(&queries)
+        let responses = registry
+            .serve_requests(&queries, &serve_cfg)
             .expect("validated stream");
         let elapsed = t0.elapsed().as_secs_f64();
-        let ok = scores
+        let ok = responses
             .iter()
             .zip(&reference)
-            .all(|(s, &r)| s.to_bits() == r);
+            .all(|(resp, &r)| resp.score.to_bits() == r);
         if !ok {
             failures += 1;
         }
         println!(
-            "{label:28} {workers} workers: {:7.0} queries/s  ({} groups, max {}, \
-             {} tape passes)  bitwise-match: {}",
+            "{label:28} {workers} workers, batch {batch:2}: {:7.0} queries/s  \
+             bitwise-match: {}",
             n_queries as f64 / elapsed,
-            metrics.groups,
-            metrics.max_group,
-            metrics.tape_passes,
             if ok { "yes" } else { "NO" },
         );
     }
 
     // 5. The registry's LRU result cache answers repeats without a tape.
-    let hot = ServeRequest::new("nd-quick", queries[0].arch.clone(), queries[0].device);
+    let hot = queries[0].clone();
     let cold = registry.serve_one(&hot).unwrap();
     let warm = registry.serve_one(&hot).unwrap();
     let stats = registry.cache_stats();

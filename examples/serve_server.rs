@@ -19,8 +19,8 @@
 //!   loop, scrape the `METRICS` endpoint (failing if a required family is
 //!   missing or the exposition's deadline ledger disagrees with the client
 //!   tally), and shut down gracefully. Exits non-zero on any divergence or
-//!   deadline miss — CI runs this as the ingress smoke test, with
-//!   `NASFLAT_SCHED_POLICY=edf` selecting the deadline-aware drain.
+//!   deadline miss — CI runs this as the ingress smoke test, on the
+//!   default deadline-aware (EDF) drain.
 
 use nasflat::core::{LatencyPredictor, PredictorConfig};
 use nasflat::hw::DeviceRegistry;
