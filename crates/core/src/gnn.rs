@@ -12,7 +12,7 @@
 
 use rand::Rng;
 
-use nasflat_tensor::{Graph, LayerNorm, Linear, ParamStore, Tensor, Var};
+use nasflat_tensor::{Graph, LayerNorm, Linear, ParamStore, Var};
 
 use crate::config::GnnModuleKind;
 
@@ -40,28 +40,19 @@ impl DgfLayer {
         }
     }
 
-    /// Forward pass. `prop` is the `n×n` propagation matrix (`A + I`), `x`
-    /// the `n×in` node features, `ops` the `n×op_dim` operation features.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, prop: Var, x: Var, ops: Var) -> Var {
-        let gate = self.wo.forward(g, store, ops);
-        let gate = g.sigmoid(gate);
-        let xf = self.wf.forward(g, store, x);
-        let agg = g.matmul(prop, xf);
-        let gated = g.mul(gate, agg);
-        g.add(gated, xf)
-    }
-
-    /// Multi-query forward over B equal-size blocks stacked into a
-    /// `B·n×in` feature matrix: the dense projections run once over the
-    /// whole stack, the propagation matrices live on the tape as one stacked
-    /// `B·n×n` node (`prop_stack`), and aggregation is a single
-    /// [`Graph::block_matmul`] node. Bit-identical to B separate
-    /// [`DgfLayer::forward`] calls.
-    pub fn forward_batched(
+    /// Forward pass over B equal-size blocks stacked into a `B·block×in`
+    /// feature matrix `x`, with `ops` the matching `B·block×op_dim`
+    /// operation features. `prop` stacks the B `block×block` propagation
+    /// matrices (`A + I`); a lone architecture is one block with
+    /// `block = n`. The dense projections run once over the whole stack and
+    /// aggregation is one [`Graph::block_matmul`] node, which runs each
+    /// block's product exactly as a lone pass would, so every block's rows
+    /// are bit-identical to a one-block pass over that architecture.
+    pub fn forward(
         &self,
         g: &mut Graph,
         store: &ParamStore,
-        prop_stack: Var,
+        prop: Var,
         block: usize,
         x: Var,
         ops: Var,
@@ -69,7 +60,7 @@ impl DgfLayer {
         let gate = self.wo.forward(g, store, ops);
         let gate = g.sigmoid(gate);
         let xf = self.wf.forward(g, store, x);
-        let agg = g.block_matmul(prop_stack, xf, block);
+        let agg = g.block_matmul(prop, xf, block);
         let gated = g.mul(gate, agg);
         g.add(gated, xf)
     }
@@ -103,38 +94,21 @@ impl GatLayer {
         }
     }
 
-    /// Forward pass; `prop` doubles as the attention mask, so a node attends
-    /// only to itself and its in-neighbours.
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, prop: Var, x: Var, ops: Var) -> Var {
-        let h = self.wp.forward(g, store, x); // n×out
-                                              // Pairwise interaction logits: (a(H) · Hᵀ), LeakyReLU, masked softmax.
-        let ah = self.attn.forward(g, store, h);
-        let ht = g.transpose(h);
-        let logits = g.matmul(ah, ht); // n×n
-        let scaled = g.scale(logits, 1.0 / (self.wp.out_dim() as f32).sqrt());
-        let e = g.leaky_relu(scaled, 0.2);
-        let attn = g.softmax_rows_masked(e, Some(prop));
-        let ctx = g.matmul(attn, h);
-        let gate = self.wo.forward(g, store, ops);
-        let gate = g.sigmoid(gate);
-        let gated = g.mul(gate, ctx);
-        self.norm.forward(g, store, gated)
-    }
-
-    /// Multi-query forward over B equal-size blocks stacked into a
-    /// `B·n×in` feature matrix. The dense projections (`wp`, `attn`, gate,
-    /// LayerNorm) are row-wise and run once over the whole stack; attention
-    /// runs over rectangular stacks — one [`Graph::block_matmul_nt`] node
-    /// for all B logit blocks, one stacked masked softmax (`prop_stack`'s
-    /// value is the row-aligned mask), one [`Graph::block_matmul`] node for
-    /// all B context blocks. Every block computes the identical kernel
-    /// sequence of a lone pass, so the layer stays bit-identical to B
-    /// separate [`GatLayer::forward`] calls.
-    pub fn forward_batched(
+    /// Forward pass over B equal-size blocks stacked into a `B·block×in`
+    /// feature matrix; `prop` stacks the B propagation matrices and doubles
+    /// as the attention mask, so a node attends only to itself and its
+    /// in-neighbours. A lone architecture is one block with `block = n`.
+    /// The dense projections (`wp`, `attn`, gate, LayerNorm) are row-wise
+    /// and run once over the whole stack; attention is one
+    /// [`Graph::block_matmul_nt`] node for all B logit blocks, one stacked
+    /// masked softmax and one [`Graph::block_matmul`] node for all B context
+    /// blocks. Every block runs the kernel sequence of a lone pass, so the
+    /// layer is bit-identical to B one-block passes.
+    pub fn forward(
         &self,
         g: &mut Graph,
         store: &ParamStore,
-        prop_stack: Var,
+        prop: Var,
         block: usize,
         x: Var,
         ops: Var,
@@ -144,7 +118,7 @@ impl GatLayer {
         let logits = g.block_matmul_nt(ah, h, block);
         let scaled = g.scale(logits, 1.0 / (self.wp.out_dim() as f32).sqrt());
         let e = g.leaky_relu(scaled, 0.2);
-        let attn = g.softmax_rows_masked(e, Some(prop_stack));
+        let attn = g.softmax_rows_masked(e, Some(prop));
         let ctx = g.block_matmul(attn, h, block);
         let gate = self.wo.forward(g, store, ops);
         let gate = g.sigmoid(gate);
@@ -220,36 +194,17 @@ impl GnnStack {
         self.layers.len()
     }
 
-    /// Propagates `x` (`n×in`) through the stack. `prop` is the `n×n`
-    /// propagation matrix and `ops` the `n×op_dim` gate features (shared by
-    /// all layers, as in GATES).
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, prop: Var, x: Var, ops: Var) -> Var {
-        let mut h = x;
-        for layer in &self.layers {
-            h = match layer {
-                StackLayer::Dgf(d) => d.forward(g, store, prop, h, ops),
-                StackLayer::Gat(a) => a.forward(g, store, prop, h, ops),
-                StackLayer::Both(d, a) => {
-                    let hd = d.forward(g, store, prop, h, ops);
-                    let ha = a.forward(g, store, prop, h, ops);
-                    let sum = g.add(hd, ha);
-                    g.scale(sum, 0.5)
-                }
-            };
-        }
-        h
-    }
-
-    /// Multi-query forward: propagates B equal-size blocks stacked into a
-    /// `B·block×in` feature matrix through the stack in one pass, with the
-    /// stacked `B·block×block` propagation matrices already on the tape
-    /// (one shared `prop_stack` serves both GNN stacks of a predictor
-    /// pass). Bit-identical to B separate [`GnnStack::forward`] calls.
-    pub fn forward_batched(
+    /// Propagates B equal-size blocks stacked into a `B·block×in` feature
+    /// matrix through the stack in one pass. `prop` is the stacked
+    /// `B·block×block` propagation matrices, already on the tape (one
+    /// `prop` serves both GNN stacks of a predictor pass), and `ops` the
+    /// stacked gate features shared by all layers, as in GATES. A lone
+    /// architecture is one block with `block = n`.
+    pub fn forward(
         &self,
         g: &mut Graph,
         store: &ParamStore,
-        prop_stack: Var,
+        prop: Var,
         block: usize,
         x: Var,
         ops: Var,
@@ -257,11 +212,11 @@ impl GnnStack {
         let mut h = x;
         for layer in &self.layers {
             h = match layer {
-                StackLayer::Dgf(d) => d.forward_batched(g, store, prop_stack, block, h, ops),
-                StackLayer::Gat(a) => a.forward_batched(g, store, prop_stack, block, h, ops),
+                StackLayer::Dgf(d) => d.forward(g, store, prop, block, h, ops),
+                StackLayer::Gat(a) => a.forward(g, store, prop, block, h, ops),
                 StackLayer::Both(d, a) => {
-                    let hd = d.forward_batched(g, store, prop_stack, block, h, ops);
-                    let ha = a.forward_batched(g, store, prop_stack, block, h, ops);
+                    let hd = d.forward(g, store, prop, block, h, ops);
+                    let ha = a.forward(g, store, prop, block, h, ops);
                     let sum = g.add(hd, ha);
                     g.scale(sum, 0.5)
                 }
@@ -271,16 +226,70 @@ impl GnnStack {
     }
 }
 
-/// Builds the `n×n` propagation matrix (`A + I`) constant for a graph.
-pub fn propagation_constant(g: &mut Graph, graph: &nasflat_space::ArchGraph) -> Var {
-    let n = graph.num_nodes();
-    g.constant(Tensor::from_vec(n, n, graph.propagation_matrix()))
+/// The dense single-architecture layer compositions the predictor's
+/// bitwise reference (`predictor::reference`) is built from: plain
+/// `n×n` products and an explicit transpose where [`GnnStack::forward`]
+/// runs block ops.
+#[cfg(test)]
+pub(crate) mod dense {
+    use super::*;
+
+    fn dgf(l: &DgfLayer, g: &mut Graph, store: &ParamStore, prop: Var, x: Var, ops: Var) -> Var {
+        let gate = l.wo.forward(g, store, ops);
+        let gate = g.sigmoid(gate);
+        let xf = l.wf.forward(g, store, x);
+        let agg = g.matmul(prop, xf);
+        let gated = g.mul(gate, agg);
+        g.add(gated, xf)
+    }
+
+    fn gat(l: &GatLayer, g: &mut Graph, store: &ParamStore, prop: Var, x: Var, ops: Var) -> Var {
+        let h = l.wp.forward(g, store, x);
+        let ah = l.attn.forward(g, store, h);
+        let ht = g.transpose(h);
+        let logits = g.matmul(ah, ht);
+        let scaled = g.scale(logits, 1.0 / (l.wp.out_dim() as f32).sqrt());
+        let e = g.leaky_relu(scaled, 0.2);
+        let attn = g.softmax_rows_masked(e, Some(prop));
+        let ctx = g.matmul(attn, h);
+        let gate = l.wo.forward(g, store, ops);
+        let gate = g.sigmoid(gate);
+        let gated = g.mul(gate, ctx);
+        l.norm.forward(g, store, gated)
+    }
+
+    /// Propagates one architecture's `n×in` features through `stack` over
+    /// its `n×n` propagation matrix `prop`.
+    pub(crate) fn stack(
+        s: &GnnStack,
+        g: &mut Graph,
+        store: &ParamStore,
+        prop: Var,
+        x: Var,
+        ops: Var,
+    ) -> Var {
+        let mut h = x;
+        for layer in &s.layers {
+            h = match layer {
+                StackLayer::Dgf(d) => dgf(d, g, store, prop, h, ops),
+                StackLayer::Gat(a) => gat(a, g, store, prop, h, ops),
+                StackLayer::Both(d, a) => {
+                    let hd = dgf(d, g, store, prop, h, ops);
+                    let ha = gat(a, g, store, prop, h, ops);
+                    let sum = g.add(hd, ha);
+                    g.scale(sum, 0.5)
+                }
+            };
+        }
+        h
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nasflat_space::{Arch, Space};
+    use nasflat_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -291,11 +300,16 @@ mod tests {
         (store, stack)
     }
 
+    /// One architecture's `n×n` propagation matrix, as a constant.
+    fn prop_constant(g: &mut Graph, arch: &Arch) -> Var {
+        let n = arch.space().graph_nodes();
+        g.constant(Tensor::from_vec(n, n, arch.to_graph().propagation_matrix()))
+    }
+
     fn arch_inputs(g: &mut Graph) -> (Var, Var, Var) {
         let arch = Arch::new(Space::Nb201, vec![3, 1, 2, 4, 0, 3]);
-        let graph = arch.to_graph();
-        let n = graph.num_nodes();
-        let prop = propagation_constant(g, &graph);
+        let n = arch.space().graph_nodes();
+        let prop = prop_constant(g, &arch);
         let mut rng = StdRng::seed_from_u64(1);
         let x = g.constant(Tensor::xavier_uniform(n, 8, &mut rng));
         let ops = g.constant(Tensor::xavier_uniform(n, 12, &mut rng));
@@ -312,7 +326,7 @@ mod tests {
             let (store, stack) = setup(kind);
             let mut g = Graph::new();
             let (prop, x, ops) = arch_inputs(&mut g);
-            let h = stack.forward(&mut g, &store, prop, x, ops);
+            let h = stack.forward(&mut g, &store, prop, 8, x, ops);
             assert_eq!(g.value(h).shape(), (8, 16), "{kind:?}");
             assert!(!g.value(h).has_non_finite(), "{kind:?}");
             assert_eq!(stack.out_dim(), 16);
@@ -331,7 +345,7 @@ mod tests {
             store.zero_grads();
             let mut g = Graph::new();
             let (prop, x, ops) = arch_inputs(&mut g);
-            let h = stack.forward(&mut g, &store, prop, x, ops);
+            let h = stack.forward(&mut g, &store, prop, 8, x, ops);
             let loss = g.sum_all(h);
             g.backward(loss);
             g.write_grads(&mut store);
@@ -362,12 +376,11 @@ mod tests {
         let layer = GatLayer::new(&mut store, "gat", 4, 4, 4, &mut rng);
         let mut g = Graph::new();
         let arch = Arch::new(Space::Nb201, vec![0, 0, 0, 0, 0, 0]); // all none
-        let graph = arch.to_graph();
-        let n = graph.num_nodes();
-        let prop = propagation_constant(&mut g, &graph);
+        let n = arch.space().graph_nodes();
+        let prop = prop_constant(&mut g, &arch);
         let x = g.constant(Tensor::xavier_uniform(n, 4, &mut rng));
         let ops = g.constant(Tensor::xavier_uniform(n, 4, &mut rng));
-        let h = layer.forward(&mut g, &store, prop, x, ops);
+        let h = layer.forward(&mut g, &store, prop, n, x, ops);
         assert!(!g.value(h).has_non_finite());
     }
 }

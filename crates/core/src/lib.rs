@@ -27,11 +27,15 @@
 //! architectures ([`LatencyPredictor::forward_batched_devices`]): B queries
 //! stacked into one shared topology, sliced back to per-query scores. A
 //! single query ([`LatencyPredictor::predict`]) is the same pass with one
-//! block. The invariant every layer upholds — pinned by
-//! `tests/determinism.rs` at 1/2/8 threads and by the `tests/batched_tape.rs`
-//! property suite for B = 1..16 — is that session reuse, thread count, and
-//! block size are **bit-invisible**: scores equal the dense reference
-//! [`LatencyPredictor::forward`] on a fresh tape down to the last ulp.
+//! block: every GNN layer has one forward ([`GnnStack::forward`]) over
+//! stacked blocks, and [`RefinedPredictor`] runs it with one block per
+//! architecture. The invariant every layer upholds is that session reuse,
+//! thread count, and block size are **bit-invisible**: scores equal
+//! one-block passes on fresh tapes down to the last ulp
+//! (`tests/determinism.rs` at 1/2/8 threads, `tests/batched_tape.rs` for
+//! chunked runs), and the crate's unit tests pin the stacked pass for
+//! B = 1..16 to a dense single-architecture reference built from plain
+//! `n×n` products, which exists only in test builds.
 //!
 //! **Training** runs the same pass: every gradient step builds its whole
 //! mini-batch as one stacked forward plus ONE backward ([`train_step_on`]).
@@ -77,7 +81,7 @@ pub use ensemble::{
 pub use fewshot::{
     run_trials, DeviceOutcome, FewShotConfig, PretrainedTask, TaskOutcome, TransferredPredictor,
 };
-pub use gnn::{propagation_constant, DgfLayer, GatLayer, GnnStack};
+pub use gnn::{DgfLayer, GatLayer, GnnStack};
 pub use persist::ModelIoError;
 pub use predictor::{BatchSession, LatencyPredictor, TAPE_BLOCK};
 pub use refine::{BackwardKind, DetachMode, RefineOptions, RefinedPredictor, UnrolledKind};

@@ -15,8 +15,9 @@
 //! Every query and training step runs the same **stacked** pass
 //! ([`LatencyPredictor::forward_batched_devices`]): B architectures of one
 //! space stacked into equal-size block-diagonal tiles, a lone query being a
-//! pass with one block. [`LatencyPredictor::forward`] is the dense
-//! single-architecture reference the bitwise suites compare it against.
+//! pass with one block. The bitwise suites compare it against a dense
+//! single-architecture reference built from plain `n×n` products, which
+//! lives with this crate's unit tests (`predictor::reference`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,7 +26,7 @@ use nasflat_space::{Arch, Space};
 use nasflat_tensor::{Activation, Embedding, Graph, Mlp, ParamStore, Tensor, Var};
 
 use crate::config::{GnnModuleKind, PredictorConfig};
-use crate::gnn::{propagation_constant, GnnStack};
+use crate::gnn::GnnStack;
 
 /// Block size of the multi-query tape passes: batch paths split a run of
 /// queries into passes of this many architectures (plus one shorter pass
@@ -161,72 +162,6 @@ impl LatencyPredictor {
         self.store.num_scalars()
     }
 
-    /// Builds the dense single-architecture forward pass on an existing
-    /// tape, returning the `1×1` latency score.
-    ///
-    /// This is the **reference** implementation: the batch and training
-    /// paths all run the stacked pass
-    /// ([`LatencyPredictor::forward_batched_devices`]), and the bitwise
-    /// suites pin every one of its rows to this function on a fresh tape.
-    ///
-    /// # Panics
-    /// Panics on space mismatch, out-of-range device index, or a
-    /// supplementary vector of the wrong width.
-    pub fn forward(&self, g: &mut Graph, arch: &Arch, device: usize, supp: Option<&[f32]>) -> Var {
-        assert_eq!(
-            arch.space(),
-            self.space,
-            "architecture from a different space"
-        );
-        assert!(
-            device < self.devices.len(),
-            "device index {device} out of range"
-        );
-        match (self.supp_dim, supp) {
-            (0, None) => {}
-            (d, Some(v)) => assert_eq!(v.len(), d, "supplementary width mismatch"),
-            (d, None) => panic!("predictor expects a {d}-dim supplementary encoding"),
-        }
-        let graph = arch.to_graph();
-        let n = graph.num_nodes();
-        let prop = propagation_constant(g, &graph);
-
-        // Operation (× hardware) joint embedding.
-        let op_e = self.op_emb.forward(g, &self.store, graph.ops());
-        let hw_row = self.hw_emb.forward(g, &self.store, &[device]);
-        let joint0 = if self.cfg.op_hw {
-            let hw_rep = g.repeat_row(hw_row, n);
-            g.concat_cols(op_e, hw_rep)
-        } else {
-            op_e
-        };
-        let refined = self.ophw_gnn.forward(g, &self.store, prop, joint0, joint0);
-        let joint = self.ophw_mlp.forward(g, &self.store, refined);
-
-        // Main GNN over node embeddings, gated by the joint embedding.
-        let node_ids: Vec<usize> = (0..n).collect();
-        let node_e = self.node_emb.forward(g, &self.store, &node_ids);
-        let h = self.main_gnn.forward(g, &self.store, prop, node_e, joint);
-        // Readout: output-node row ‖ mean over nodes. A GNN stack of depth L
-        // only propagates information L hops toward the output node; on
-        // FBNet's 24-node chain the mean-pooled term carries the per-block
-        // composition that would otherwise never reach the readout.
-        let out_row = g.slice_rows(h, n - 1, 1);
-        let mean_row = g.mean_rows(h);
-        let readout = g.concat_cols(out_row, mean_row);
-
-        // Prediction head with optional supplement / non-OPHW hw conditioning.
-        let mut head_in = readout;
-        if let Some(v) = supp {
-            let s = g.constant(Tensor::row_vector(v.to_vec()));
-            head_in = g.concat_cols(head_in, s);
-        }
-        if !self.cfg.op_hw {
-            head_in = g.concat_cols(head_in, hw_row);
-        }
-        self.head.forward(g, &self.store, head_in)
-    }
-
     /// Builds the **multi-query** forward pass on an existing tape, with one
     /// device index per architecture: the B architectures' node features
     /// are stacked into block-diagonal tiles and propagated through one
@@ -238,9 +173,9 @@ impl LatencyPredictor {
     /// and GAT attention run as per-block tape ops over the `B·n×n` stack
     /// of the space's propagation block. Each block's hardware rows are
     /// **gathered per node** ([`Graph::gather_rows`] on the embedding
-    /// table), so queries for different devices share a pass. Every output row is
-    /// **bit-identical** to [`LatencyPredictor::forward`] on that
-    /// (arch, device) pair alone, at any B including 1 — the batched-tape
+    /// table), so queries for different devices share a pass. Every output
+    /// row is **bit-identical** to a one-block pass over that (arch, device)
+    /// pair alone, and to the dense reference — the unit tests, batched-tape
     /// and determinism suites pin this.
     ///
     /// # Panics
@@ -309,9 +244,8 @@ impl LatencyPredictor {
         let prop = g.gather_rows(block, &scratch.node_ids);
 
         // Operation (× hardware) joint embedding over the concatenated ops.
-        // The hardware rows are gathered per node (block b contributes n
-        // copies of its own device's row); each copied row is bitwise the
-        // row `repeat_row` tiles in the reference forward.
+        // The hardware rows are gathered per node: block b contributes n
+        // copies of its own device's row.
         let op_e = self.op_emb.forward(g, &self.store, &scratch.op_ids);
         let joint0 = if self.cfg.op_hw {
             scratch.hw_ids.clear();
@@ -325,17 +259,20 @@ impl LatencyPredictor {
         };
         let refined = self
             .ophw_gnn
-            .forward_batched(g, &self.store, prop, n, joint0, joint0);
+            .forward(g, &self.store, prop, n, joint0, joint0);
         let joint = self.ophw_mlp.forward(g, &self.store, refined);
 
         // Main GNN over stacked node embeddings (`0..n` per block).
         let node_e = self.node_emb.forward(g, &self.store, &scratch.node_ids);
         let h = self
             .main_gnn
-            .forward_batched(g, &self.store, prop, n, node_e, joint);
+            .forward(g, &self.store, prop, n, node_e, joint);
 
-        // Per-block readout: output-node row ‖ block mean (same accumulation
-        // order as the reference slice_rows/mean_rows pair).
+        // Per-block readout: output-node row ‖ block mean. A GNN stack of
+        // depth L only propagates information L hops toward the output node;
+        // on FBNet's 24-node chain the mean-pooled term carries the
+        // per-block composition that would otherwise never reach the
+        // readout.
         scratch.out_ids.clear();
         scratch.out_ids.extend((1..=b).map(|k| k * n - 1));
         let out_rows = g.gather_rows(h, &scratch.out_ids);
@@ -418,7 +355,7 @@ impl LatencyPredictor {
     ///
     /// # Panics
     /// Panics if `supp` is present but its length differs from `archs`, or
-    /// on the same conditions as [`LatencyPredictor::forward`].
+    /// on the same conditions as [`LatencyPredictor::predict`].
     pub fn predict_batch(
         &self,
         archs: &[Arch],
@@ -498,8 +435,8 @@ impl LatencyPredictor {
 /// ([`LatencyPredictor::forward_batched_devices`]); a single query is a pass
 /// with one block. Determinism: a cleared tape overwrites every recycled
 /// buffer before reading it, so session scores are **bit-identical** to
-/// [`LatencyPredictor::forward`] on a fresh tape — the determinism suite
-/// pins this at 1/2/8 threads.
+/// one-block passes on fresh tapes — the determinism suite pins this at
+/// 1/2/8 threads.
 ///
 /// Sessions are cheap to create (one per worker thread in the batch paths)
 /// and borrow the predictor immutably, so many sessions can run
@@ -547,7 +484,7 @@ impl<'p> BatchSession<'p> {
     /// the session tape.
     ///
     /// # Panics
-    /// Panics on the same conditions as [`LatencyPredictor::forward`].
+    /// Panics on the same conditions as [`LatencyPredictor::predict`].
     pub fn predict(&mut self, arch: &Arch, device: usize, supp: Option<&[f32]>) -> f32 {
         let rows = supp.map(|v| [v.to_vec()]);
         let y = self.pass(&[arch], &[device], rows.as_ref().map(|r| &r[..]));
@@ -557,8 +494,8 @@ impl<'p> BatchSession<'p> {
     /// Evaluates one **multi-query tape pass** over `archs` (one device
     /// index per architecture) on the session tape and returns the
     /// per-architecture scores: row `b` of the stacked `B×1` head output.
-    /// Bit-identical to [`LatencyPredictor::forward`] per (arch, device)
-    /// pair — the property that lets the serving layer coalesce whatever
+    /// Bit-identical to a one-block pass per (arch, device) pair — the
+    /// property that lets the serving layer coalesce whatever
     /// mix of queries is waiting without changing a single bit of any
     /// answer.
     ///
@@ -622,10 +559,81 @@ impl<'p> BatchSession<'p> {
     }
 }
 
+/// The dense single-architecture reference forward: one architecture on
+/// its own tape, built from plain `n×n` products
+/// ([`crate::gnn::dense`]) and the op-level readout (`slice_rows`,
+/// `mean_rows`). Every stacked pass must reproduce it bit for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use crate::gnn::dense;
+
+    /// Builds the reference pass on `g`, returning the `1×1` score.
+    pub(crate) fn forward(
+        p: &LatencyPredictor,
+        g: &mut Graph,
+        arch: &Arch,
+        device: usize,
+        supp: Option<&[f32]>,
+    ) -> Var {
+        assert_eq!(arch.space(), p.space, "architecture from a different space");
+        assert!(
+            device < p.devices.len(),
+            "device index {device} out of range"
+        );
+        let graph = arch.to_graph();
+        let n = graph.num_nodes();
+        let prop = g.constant(Tensor::from_vec(n, n, graph.propagation_matrix()));
+
+        // Operation (× hardware) joint embedding.
+        let op_e = p.op_emb.forward(g, &p.store, graph.ops());
+        let hw_row = p.hw_emb.forward(g, &p.store, &[device]);
+        let joint0 = if p.cfg.op_hw {
+            let hw_rep = g.gather_rows(hw_row, &vec![0; n]);
+            g.concat_cols(op_e, hw_rep)
+        } else {
+            op_e
+        };
+        let refined = dense::stack(&p.ophw_gnn, g, &p.store, prop, joint0, joint0);
+        let joint = p.ophw_mlp.forward(g, &p.store, refined);
+
+        // Main GNN over node embeddings, gated by the joint embedding.
+        let node_ids: Vec<usize> = (0..n).collect();
+        let node_e = p.node_emb.forward(g, &p.store, &node_ids);
+        let h = dense::stack(&p.main_gnn, g, &p.store, prop, node_e, joint);
+        let out_row = g.slice_rows(h, n - 1, 1);
+        let mean_row = g.mean_rows(h);
+        let mut head_in = g.concat_cols(out_row, mean_row);
+        if let Some(v) = supp {
+            assert_eq!(v.len(), p.supp_dim, "supplementary width mismatch");
+            let s = g.constant(Tensor::row_vector(v.to_vec()));
+            head_in = g.concat_cols(head_in, s);
+        }
+        if !p.cfg.op_hw {
+            head_in = g.concat_cols(head_in, hw_row);
+        }
+        p.head.forward(g, &p.store, head_in)
+    }
+
+    /// The reference score on a fresh tape.
+    pub(crate) fn score(
+        p: &LatencyPredictor,
+        arch: &Arch,
+        device: usize,
+        supp: Option<&[f32]>,
+    ) -> f32 {
+        let mut g = Graph::new();
+        let y = forward(p, &mut g, arch, device, supp);
+        g.value(y).item()
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::score as reference;
     use super::*;
     use nasflat_encode::EncodingKind;
+    use proptest::prelude::*;
 
     fn tiny_cfg() -> PredictorConfig {
         let mut c = PredictorConfig::quick();
@@ -643,11 +651,107 @@ mod tests {
         vec!["dev_a".into(), "dev_b".into(), "dev_c".into()]
     }
 
-    /// Ground truth: the dense reference forward on a fresh tape.
-    fn reference(p: &LatencyPredictor, arch: &Arch, device: usize, supp: Option<&[f32]>) -> f32 {
-        let mut g = Graph::new();
-        let y = p.forward(&mut g, arch, device, supp);
-        g.value(y).item()
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Reference scores, one fresh tape per architecture: the ground truth
+    /// every stacked pass must reproduce bit for bit.
+    fn per_arch_bits(p: &LatencyPredictor, archs: &[&Arch], device: usize) -> Vec<u32> {
+        archs
+            .iter()
+            .map(|a| reference(p, a, device, None).to_bits())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn stack_forward_slice_round_trips_bitwise_up_to_16_archs(
+            b in 1usize..17,
+            seed in 0u64..10_000,
+            device in 0usize..3,
+        ) {
+            let p = LatencyPredictor::new(Space::Nb201, devices(), 0, tiny_cfg());
+            let archs: Vec<Arch> = (0..b as u64)
+                .map(|i| Arch::nb201_from_index(seed.wrapping_mul(37).wrapping_add(i * 977) % 15_625))
+                .collect();
+            let refs: Vec<&Arch> = archs.iter().collect();
+
+            // One block-diagonal pass over all B queries…
+            let mut g = Graph::new();
+            let y = p.forward_batched_devices(&mut g, &refs, &vec![device; b], None);
+            prop_assert_eq!(g.value(y).shape(), (b, 1));
+
+            // …must slice back to exactly the per-arch reference scores.
+            prop_assert_eq!(bits(g.value(y).data()), per_arch_bits(&p, &refs, device));
+        }
+    }
+
+    #[test]
+    fn round_trip_holds_for_every_gnn_module_kind() {
+        for kind in [
+            GnnModuleKind::Dgf,
+            GnnModuleKind::Gat,
+            GnnModuleKind::Ensemble,
+        ] {
+            let cfg = tiny_cfg().with_gnn(kind);
+            let p = LatencyPredictor::new(Space::Nb201, devices(), 0, cfg);
+            let archs: Vec<Arch> = (0..9u64).map(|i| Arch::nb201_from_index(i * 641)).collect();
+            let refs: Vec<&Arch> = archs.iter().collect();
+            let mut session = p.session();
+            for b in [1, refs.len()] {
+                let batched = session.predict_batched_tape_devices(&refs[..b], &vec![1; b], None);
+                assert_eq!(
+                    bits(&batched),
+                    per_arch_bits(&p, &refs[..b], 1),
+                    "{kind:?} diverged at B={b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn round_trip_holds_on_fbnet_and_without_ophw() {
+        let mut cfg = tiny_cfg();
+        cfg.op_hw = false; // exercise the head-side hw conditioning branch
+        let p = LatencyPredictor::new(Space::Fbnet, devices(), 0, cfg);
+        let archs: Vec<Arch> = (0..6u8)
+            .map(|i| Arch::new(Space::Fbnet, vec![i % 9; 22]))
+            .collect();
+        let refs: Vec<&Arch> = archs.iter().collect();
+        let mut session = p.session();
+        for b in [1, refs.len()] {
+            let batched = session.predict_batched_tape_devices(&refs[..b], &vec![2; b], None);
+            assert_eq!(bits(&batched), per_arch_bits(&p, &refs[..b], 2), "B={b}");
+        }
+    }
+
+    #[test]
+    fn round_trip_holds_with_supplementary_encodings() {
+        let cfg = tiny_cfg().with_supplement(Some(EncodingKind::Zcp));
+        let p = LatencyPredictor::new(Space::Nb201, devices(), 13, cfg);
+        let archs: Vec<Arch> = (0..8u64).map(|i| Arch::nb201_from_index(i * 333)).collect();
+        let refs: Vec<&Arch> = archs.iter().collect();
+        let supp: Vec<Vec<f32>> = (0..8)
+            .map(|i| {
+                (0..13)
+                    .map(|j| ((i * 13 + j) as f32 * 0.17).sin())
+                    .collect()
+            })
+            .collect();
+        let expect: Vec<u32> = refs
+            .iter()
+            .zip(&supp)
+            .map(|(a, s)| reference(&p, a, 0, Some(s)).to_bits())
+            .collect();
+        let mut session = p.session();
+        for b in [1, refs.len()] {
+            let batched =
+                session.predict_batched_tape_devices(&refs[..b], &vec![0; b], Some(&supp[..b]));
+            assert_eq!(bits(&batched), expect[..b], "B={b}");
+        }
     }
 
     #[test]

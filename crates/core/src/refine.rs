@@ -29,7 +29,7 @@ use nasflat_tensor::{
 };
 
 use crate::config::GnnModuleKind;
-use crate::gnn::{propagation_constant, GnnStack};
+use crate::gnn::GnnStack;
 
 /// Backward-information module choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,7 +105,10 @@ impl Default for RefineOptions {
 pub struct RefinedPredictor {
     space: Space,
     opts: RefineOptions,
-    hidden: usize,
+    /// The space's `n×n` propagation matrix (`A + I`) and its transpose,
+    /// which the backward GCN propagates over.
+    prop: Tensor,
+    prop_t: Tensor,
     store: ParamStore,
     op_emb: Embedding,
     fwd_gnn: GnnStack,
@@ -180,10 +183,13 @@ impl RefinedPredictor {
             Activation::Relu,
             &mut rng,
         );
+        let n = space.graph_nodes();
+        let prop = Tensor::from_vec(n, n, space.propagation_matrix());
         RefinedPredictor {
             space,
             opts,
-            hidden,
+            prop_t: prop.transpose(),
+            prop,
             store,
             op_emb,
             fwd_gnn,
@@ -194,38 +200,30 @@ impl RefinedPredictor {
         }
     }
 
-    /// The ablation options in effect.
-    pub fn options(&self) -> &RefineOptions {
-        &self.opts
-    }
-
     fn detach(&self, g: &mut Graph, v: Var) -> Var {
         let t = g.value(v).clone();
         g.constant(t)
     }
 
-    /// Forward pass on an existing tape.
+    /// Forward pass on an existing tape: every GNN call is a one-block
+    /// pass ([`GnnStack::forward`] with `block = n`).
     pub fn forward(&self, g: &mut Graph, arch: &Arch) -> Var {
         assert_eq!(
             arch.space(),
             self.space,
             "architecture from a different space"
         );
-        let graph = arch.to_graph();
-        let n = graph.num_nodes();
-        let prop = propagation_constant(g, &graph);
-        let prop_t = {
-            let t = g.value(prop).clone().transpose();
-            let (r, c) = t.shape();
-            g.constant(Tensor::from_vec(r, c, t.data().to_vec()))
-        };
+        let n = self.space.graph_nodes();
+        let prop = g.constant(self.prop.clone());
+        let prop_t = g.constant(self.prop_t.clone());
 
-        let mut op_e = self.op_emb.forward(g, &self.store, graph.ops());
+        let ops: Vec<usize> = arch.node_ops().collect();
+        let mut op_e = self.op_emb.forward(g, &self.store, &ops);
 
         if let Some(kind) = self.opts.unrolled {
             // Unrolled 2-step: GNN pass, combine with op embedding, map
             // through BMLP (or backward GCN), second GNN pass.
-            let h1 = self.fwd_gnn.forward(g, &self.store, prop, op_e, op_e);
+            let h1 = self.fwd_gnn.forward(g, &self.store, prop, n, op_e, op_e);
             let combined = match kind {
                 UnrolledKind::Bmlp => {
                     let y = self.back_mlp.forward(g, &self.store, h1);
@@ -233,31 +231,30 @@ impl RefinedPredictor {
                     self.update_of(g, joined)
                 }
                 UnrolledKind::Bgcn => {
-                    let y = self.back_gcn.forward(g, &self.store, prop_t, h1, op_e);
+                    let y = self.back_gcn.forward(g, &self.store, prop_t, n, h1, op_e);
                     let joined = g.concat_cols(y, op_e);
                     self.update_of(g, joined)
                 }
             };
             let h2 = self
                 .fwd_gnn
-                .forward(g, &self.store, prop, combined, combined);
+                .forward(g, &self.store, prop, n, combined, combined);
             let readout = g.slice_rows(h2, n - 1, 1);
             return self.head.forward(g, &self.store, readout);
         }
 
-        let mut h = self.fwd_gnn.forward(g, &self.store, prop, op_e, op_e);
+        let mut h = self.fwd_gnn.forward(g, &self.store, prop, n, op_e, op_e);
         for _t in 1..self.opts.timesteps {
             // Backward information from the forward pass.
             let byi_full = match self.opts.backward {
                 BackwardKind::None => h,
-                BackwardKind::Bgcn => self.back_gcn.forward(g, &self.store, prop_t, h, op_e),
+                BackwardKind::Bgcn => self.back_gcn.forward(g, &self.store, prop_t, n, h, op_e),
                 BackwardKind::Bmlp => {
                     let src = if self.opts.all_node_encoding {
                         h
                     } else {
                         // broadcast the output-node encoding to all nodes
-                        let out_row = g.slice_rows(h, n - 1, 1);
-                        g.repeat_row(out_row, n)
+                        g.gather_rows(h, &vec![n - 1; n])
                     };
                     self.back_mlp.forward(g, &self.store, src)
                 }
@@ -278,16 +275,15 @@ impl RefinedPredictor {
                 (false, false) => byi_in, // fall back to backward info
             };
             op_e = self.update_of(g, upd_in);
-            h = self.fwd_gnn.forward(g, &self.store, prop, op_e, op_e);
+            h = self.fwd_gnn.forward(g, &self.store, prop, n, op_e, op_e);
         }
         let readout = g.slice_rows(h, n - 1, 1);
         self.head.forward(g, &self.store, readout)
     }
 
     fn update_of(&self, g: &mut Graph, joined: Var) -> Var {
-        // Pad/trim to the update MLP's expected width by projecting through
-        // the registered MLP (widths are fixed at construction; callers keep
-        // them consistent via the option flags).
+        // The update MLP's input width is fixed at construction from the
+        // option flags; a mismatch means the flags and the MLP disagree.
         let expected = self.update_mlp.in_dim();
         let got = g.value(joined).cols();
         assert_eq!(
@@ -337,11 +333,6 @@ impl RefinedPredictor {
         let preds: Vec<f32> = data.iter().map(|(a, _)| self.predict(a)).collect();
         let targets: Vec<f32> = data.iter().map(|&(_, t)| t).collect();
         kendall_tau(&preds, &targets).unwrap_or(0.0)
-    }
-
-    /// Hidden width (diagnostics).
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
     }
 }
 

@@ -132,8 +132,8 @@ pub fn train_step(
 ///
 /// # Determinism contract
 /// The stacked pass's per-row scores, and hence the **loss value**, are
-/// bit-identical to a per-architecture [`LatencyPredictor::forward`]
-/// reference (pinned by unit tests), and every step is sequential
+/// bit-identical to a per-architecture dense reference forward (pinned by
+/// unit tests), and every step is sequential
 /// arithmetic on one tape, so trained weights are **bit-identical at any
 /// thread count** — the determinism suite pins this.
 pub fn train_step_on(
@@ -364,6 +364,7 @@ pub fn evaluate_spearman(
 mod tests {
     use super::*;
     use crate::config::PredictorConfig;
+    use crate::predictor::reference;
     use nasflat_hw::DeviceRegistry;
     use nasflat_space::Space;
     use nasflat_tasks::{paper_task, probe_pool};
@@ -463,7 +464,7 @@ mod tests {
             let mut g = Graph::new();
             let scores: Vec<Var> = batch
                 .iter()
-                .map(|&(i, _)| pred.forward(&mut g, &pool[i], 0, None))
+                .map(|&(i, _)| reference::forward(&pred, &mut g, &pool[i], 0, None))
                 .collect();
             let reference = match loss {
                 LossKind::PairwiseHinge => {

@@ -3,8 +3,8 @@
 //! The contract: every parallelized pipeline stage — ensemble training,
 //! batch prediction (multi-query tape passes of any block size), training,
 //! multi-target transfer, full trial loops — produces **bit-identical**
-//! outputs at `NASFLAT_THREADS=1`, `2`, and `8`, and every score equals the
-//! dense reference [`LatencyPredictor::forward`] on a fresh tape. The tests
+//! outputs at `NASFLAT_THREADS=1`, `2`, and `8`, and every score equals a
+//! one-block [`LatencyPredictor::predict`] pass on a fresh tape. The tests
 //! pin the thread count in-process via [`nasflat_parallel::with_threads`],
 //! the programmatic equivalent of launching under each `NASFLAT_THREADS`
 //! value (the env var is read once per process, so one process can't re-set
@@ -20,7 +20,6 @@ use nasflat_parallel::with_threads;
 use nasflat_sample::Sampler;
 use nasflat_space::{Arch, Space};
 use nasflat_tasks::{paper_task, probe_pool};
-use nasflat_tensor::Graph;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -46,15 +45,10 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Ground truth: the dense reference forward, one fresh tape per
-/// architecture.
+/// Ground truth: a one-block pass per architecture, each on a fresh tape.
 fn reference_bits(pred: &LatencyPredictor, pool: &[Arch], device: usize) -> Vec<u32> {
     pool.iter()
-        .map(|a| {
-            let mut g = Graph::new();
-            let y = pred.forward(&mut g, a, device, None);
-            g.value(y).item().to_bits()
-        })
+        .map(|a| pred.predict(a, device, None).to_bits())
         .collect()
 }
 
@@ -104,7 +98,7 @@ fn batch_session_is_bit_identical_to_per_arch_tapes_across_thread_counts() {
 
 #[test]
 fn multi_query_tape_is_bit_identical_across_thread_counts_and_batch_sizes() {
-    // Multi-query passes are bit-identical to the reference forward at any
+    // Multi-query passes are bit-identical to one-block passes at any
     // block size (one session sweeping the pool in passes of B) and at
     // 1/2/8 threads (thread count changes worker chunk boundaries and
     // therefore which queries share a pass). None of it may move a bit.

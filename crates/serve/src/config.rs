@@ -56,9 +56,10 @@ pub struct ServeConfig {
     /// ([`BundleStore`](crate::BundleStore)). `None` (the default) keeps
     /// the registry in-memory.
     pub store_dir: Option<PathBuf>,
-    /// Hot-tier capacity of the store: how many decoded bundles stay
+    /// Hot-tier capacity of a durable store: how many decoded bundles stay
     /// resident before LRU eviction leaves the oldest only durable. 0 (the
-    /// default) is unbounded. Only disk-backed entries are ever evicted.
+    /// default) is unbounded. Without a `store_dir` nothing can be evicted,
+    /// so an in-memory store ignores it.
     pub hot_capacity: usize,
     /// Ingress queue ordering: [`SchedPolicy::Fifo`] drains in exact
     /// arrival order (the pre-deadline behavior, bit-for-bit);
@@ -194,7 +195,8 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Hot-tier capacity of the store (0, the default, is unbounded).
+    /// Hot-tier capacity of a durable store (0, the default, is
+    /// unbounded; an in-memory store ignores it).
     pub fn hot_capacity(mut self, capacity: usize) -> Self {
         self.cfg.hot_capacity = capacity;
         self

@@ -142,7 +142,7 @@ impl PredictorRegistry {
     /// whose result cache holds up to `cache_capacity` entries (0 disables
     /// caching).
     pub fn new(cache_capacity: usize) -> Self {
-        PredictorRegistry::with_store(BundleStore::in_memory(0), cache_capacity)
+        PredictorRegistry::with_store(BundleStore::in_memory(), cache_capacity)
     }
 
     /// A registry over an existing [`BundleStore`] — the way to get a
@@ -166,7 +166,7 @@ impl PredictorRegistry {
 
     /// A registry configured from [`ServeConfig`]: durable when
     /// `cfg.store_dir` is set (hot capacity `cfg.hot_capacity`), in-memory
-    /// otherwise. The result cache holds up to `cache_capacity` entries.
+    /// and unbounded otherwise. The result cache holds up to `cache_capacity` entries.
     ///
     /// # Errors
     /// [`ServeError::Io`] / [`ServeError::Bundle`] when the store directory
@@ -174,7 +174,7 @@ impl PredictorRegistry {
     pub fn from_config(cfg: &ServeConfig, cache_capacity: usize) -> Result<Self, ServeError> {
         let store = match &cfg.store_dir {
             Some(dir) => BundleStore::open(dir, cfg.hot_capacity)?,
-            None => BundleStore::in_memory(cfg.hot_capacity),
+            None => BundleStore::in_memory(),
         };
         Ok(PredictorRegistry::with_store(store, cache_capacity))
     }

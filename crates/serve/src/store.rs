@@ -145,15 +145,13 @@ impl std::fmt::Debug for BundleStore {
 
 impl BundleStore {
     /// A store without durable backing: every published bundle lives in the
-    /// hot tier for the life of the process.
-    ///
-    /// `hot_capacity` is kept for symmetry but cannot force evictions —
-    /// demoting an entry with no backing file would lose the model — so a
-    /// memory-only store is effectively unbounded.
-    pub fn in_memory(hot_capacity: usize) -> Self {
+    /// hot tier for the life of the process. Its hot capacity is 0
+    /// (unbounded): demoting an entry with no backing file would lose the
+    /// model, so nothing here can be evicted.
+    pub fn in_memory() -> Self {
         BundleStore {
             dir: None,
-            hot_capacity,
+            hot_capacity: 0,
             state: Mutex::new(StoreState {
                 entries: HashMap::new(),
                 tick: 0,
@@ -307,37 +305,61 @@ impl BundleStore {
     /// returned `Arc` pins the decoded model for as long as the caller
     /// holds it, independent of any later eviction.
     ///
+    /// The read and decode run with the store unlocked, so lookups of
+    /// other models (hot hits included) never wait on a cold load. If the
+    /// entry is removed or republished meanwhile, the fetch starts over; if
+    /// another fetch made it hot first, that bundle is returned and this
+    /// decode is dropped, so concurrent cold fetches of one entry all get
+    /// one `Arc` and count one cold load.
+    ///
     /// # Errors
     /// [`ServeError::UnknownModel`] for unregistered names;
     /// [`ServeError::Bundle`] when the backing file is corrupt (the file is
     /// quarantined and the entry dropped); [`ServeError::Io`] on filesystem
     /// failure (the entry is kept — the fault may be transient).
     pub fn fetch(&self, name: &str) -> Result<(u64, Arc<ModelBundle>), ServeError> {
-        let mut state = self.state.lock().unwrap();
-        let touch = state.next_touch();
-        let entry = state
-            .entries
-            .get_mut(name)
-            .ok_or_else(|| ServeError::UnknownModel(name.to_string()))?;
-        let version = entry.version;
-        if let Some(bundle) = &entry.hot {
+        loop {
+            let (version, path) = {
+                let mut state = self.state.lock().unwrap();
+                let touch = state.next_touch();
+                let entry = state
+                    .entries
+                    .get_mut(name)
+                    .ok_or_else(|| ServeError::UnknownModel(name.to_string()))?;
+                if let Some(bundle) = &entry.hot {
+                    entry.touch = touch;
+                    return Ok((entry.version, Arc::clone(bundle)));
+                }
+                let path = entry
+                    .file
+                    .clone()
+                    .expect("entries that are not hot always have a backing file");
+                (entry.version, path)
+            };
+            let loaded = ModelBundle::load_path(&path);
+            let mut state = self.state.lock().unwrap();
+            let touch = state.next_touch();
+            match state.entries.get_mut(name) {
+                Some(entry) if entry.version == version => {
+                    if let Some(bundle) = &entry.hot {
+                        // Another fetch made it hot first: share its decode.
+                        entry.touch = touch;
+                        return Ok((version, Arc::clone(bundle)));
+                    }
+                }
+                _ => continue, // removed or republished while decoding
+            }
+            let bundle = match loaded {
+                Ok(bundle) => Arc::new(bundle),
+                Err(e) => return Err(self.reject_file(&mut state, name, e)),
+            };
+            self.cold_loads.fetch_add(1, Ordering::Relaxed);
+            let entry = state.entries.get_mut(name).expect("present");
+            entry.hot = Some(Arc::clone(&bundle));
             entry.touch = touch;
-            return Ok((version, Arc::clone(bundle)));
+            self.evict_excess(&mut state);
+            return Ok((version, bundle));
         }
-        let path = entry
-            .file
-            .clone()
-            .expect("entries that are not hot always have a backing file");
-        let bundle = match ModelBundle::load_path(&path) {
-            Ok(bundle) => Arc::new(bundle),
-            Err(e) => return Err(self.reject_file(&mut state, name, e)),
-        };
-        self.cold_loads.fetch_add(1, Ordering::Relaxed);
-        let entry = state.entries.get_mut(name).expect("present");
-        entry.hot = Some(Arc::clone(&bundle));
-        entry.touch = touch;
-        self.evict_excess(&mut state);
-        Ok((version, bundle))
     }
 
     /// The current version of `name`, when registered.
@@ -588,15 +610,18 @@ mod tests {
 
     #[test]
     fn memory_store_publishes_and_fetches() {
-        let store = BundleStore::in_memory(1);
+        let store = BundleStore::in_memory();
         let up = store.publish("m1", bundle(1)).unwrap();
         assert_eq!(up.version, 1);
         assert!(up.replaced.is_none());
         let up2 = store.publish("m2", bundle(2)).unwrap();
         assert_eq!(up2.version, 2);
-        // Capacity 1 but nothing is disk-backed: no eviction possible.
+        // Nothing is disk-backed: the hot tier is unbounded.
         let s = store.stats();
-        assert_eq!((s.hot, s.durable, s.evictions), (2, 0, 0));
+        assert_eq!(
+            (s.hot, s.durable, s.evictions, s.hot_capacity),
+            (2, 0, 0, 0)
+        );
         let (v, b) = store.fetch("m1").unwrap();
         assert_eq!(v, 1);
         let arch = Arch::nb201_from_index(7);
@@ -658,6 +683,32 @@ mod tests {
         store.fetch("m").unwrap();
         let s = store.stats();
         assert_eq!((s.hot, s.durable, s.cold_loads), (1, 1, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_cold_fetches_share_one_decode() {
+        let dir = tmp_dir("concurrent_fetch");
+        {
+            let store = BundleStore::open(&dir, 0).unwrap();
+            store.publish("m", bundle(6)).unwrap();
+        }
+        let store = BundleStore::open(&dir, 0).unwrap();
+        let start = std::sync::Barrier::new(8);
+        let fetched: Vec<Arc<ModelBundle>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        store.fetch("m").unwrap().1
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(fetched.iter().all(|b| Arc::ptr_eq(b, &fetched[0])));
+        let s = store.stats();
+        assert_eq!((s.hot, s.cold_loads), (1, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

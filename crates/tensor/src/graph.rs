@@ -55,7 +55,7 @@
 //!   them, and no tape here builds one (the stacked hinge loss's pair
 //!   gathers feed element-wise maps). Leaves, constants and parameters
 //!   carry none either: all their rows are distinct.
-//! - Row-wise ops keep their input's classes: `MatMul`, the row broadcasts
+//! - Row-wise ops keep their input's classes: `MatMul`, the row broadcast
 //!   (whose right operand is a single row), the element-wise maps and
 //!   `LayerNormRows`.
 //! - Same-shape binary ops, `ConcatCols` and the masked softmax (with its
@@ -100,7 +100,6 @@ enum Op {
     Sub(Var, Var),
     MulElem(Var, Var),
     AddRowBroadcast(Var, Var),
-    MulRowBroadcast(Var, Var),
     Scale(Var, f32),
     AddScalar(Var, f32),
     Sigmoid(Var),
@@ -114,7 +113,6 @@ enum Op {
     BlockMeanRows(Var, Vec<usize>),
     Transpose(Var),
     Gather(Var, Vec<usize>),
-    RepeatRow(Var, usize),
     MeanRows(Var),
     SumAll(Var),
     SumVars(Vec<Var>),
@@ -472,13 +470,8 @@ impl Graph {
 
     /// A `1×c` row `b` combined into every row of `a`: every row computed,
     /// `a`'s row classes kept.
-    fn row_broadcast(
-        &mut self,
-        a: Var,
-        b: Var,
-        op: Op,
-        kernel: fn(&[f32], &[f32], &mut [f32]),
-    ) -> Var {
+    /// Adds a `1×c` row vector to every row of an `r×c` matrix.
+    pub fn add_row_broadcast(&mut self, a: Var, b: Var) -> Var {
         let (r, c) = self.nodes[a.0].value.shape();
         {
             let tb = &self.nodes[b.0].value;
@@ -489,21 +482,11 @@ impl Graph {
         {
             let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
             for i in 0..r {
-                kernel(ta.row(i), tb.row(0), v.row_mut(i));
+                kernels::add(ta.row(i), tb.row(0), v.row_mut(i));
             }
         }
         let rg = self.rg(a) || self.rg(b);
-        self.push_classed(v, op, rg, Vec::new(), self.class(a))
-    }
-
-    /// Adds a `1×c` row vector to every row of an `r×c` matrix.
-    pub fn add_row_broadcast(&mut self, a: Var, b: Var) -> Var {
-        self.row_broadcast(a, b, Op::AddRowBroadcast(a, b), kernels::add)
-    }
-
-    /// Multiplies every row of an `r×c` matrix by a `1×c` row vector.
-    pub fn mul_row_broadcast(&mut self, a: Var, b: Var) -> Var {
-        self.row_broadcast(a, b, Op::MulRowBroadcast(a, b), kernels::mul)
+        self.push_classed(v, Op::AddRowBroadcast(a, b), rg, Vec::new(), self.class(a))
     }
 
     /// An element-wise map, keeping `a`'s row classes. The `exp`-based
@@ -769,21 +752,6 @@ impl Graph {
         };
         let rg = self.rg(a);
         self.push_classed(v, Op::Gather(a, indices.to_vec()), rg, Vec::new(), classes)
-    }
-
-    /// Tiles a `1×c` row vector into an `n×c` matrix.
-    pub fn repeat_row(&mut self, a: Var, n: usize) -> Var {
-        let (r, c) = self.nodes[a.0].value.shape();
-        assert_eq!(r, 1, "repeat_row needs a row vector");
-        let mut v = self.zeros(n, c);
-        {
-            let ta = &self.nodes[a.0].value;
-            for i in 0..n {
-                v.row_mut(i).copy_from_slice(ta.row(0));
-            }
-        }
-        let rg = self.rg(a);
-        self.push(v, Op::RepeatRow(a, n), rg)
     }
 
     /// Mean over rows: `r×c → 1×c`.
@@ -1104,29 +1072,6 @@ impl Graph {
                     self.accum(b, db);
                 }
             }
-            &Op::MulRowBroadcast(a, b) => {
-                let da = self.rg(a).then(|| {
-                    let vb = self.nodes[b.0].value.data();
-                    let mut da = self.pool.take(gr * gc);
-                    for r in 0..gr {
-                        da.extend(g.row(r).iter().zip(vb).map(|(&x, &y)| x * y));
-                    }
-                    Tensor::from_vec(gr, gc, da)
-                });
-                let db = self.rg(b).then(|| {
-                    let va = &self.nodes[a.0].value;
-                    let mut db = self.pool.zeros(1, gc);
-                    for r in 0..gr {
-                        let terms = g.row(r).iter().zip(va.row(r));
-                        for (d, (&gv, &av)) in db.data_mut().iter_mut().zip(terms) {
-                            *d += gv * av;
-                        }
-                    }
-                    db
-                });
-                self.accum_some(a, da);
-                self.accum_some(b, db);
-            }
             &Op::Scale(a, s) => {
                 let da = self.pool.filled(gr, gc, g.data().iter().map(|&x| x * s));
                 self.accum(a, da);
@@ -1262,10 +1207,6 @@ impl Graph {
                     kernels::axpy(1.0, g.row(row), da.row_mut(ix));
                 }
                 self.accum(*a, da);
-            }
-            &Op::RepeatRow(a, _n) => {
-                let da = col_sums(&mut self.pool, &g);
-                self.accum(a, da);
             }
             &Op::MeanRows(a) => {
                 let r = self.nodes[a.0].value.rows();

@@ -11,12 +11,12 @@
 //!   embedding gather, broadcasts, reductions); [`Graph::clear`] resets the
 //!   tape while retaining its node and buffer arenas, so one tape can be
 //!   reused across thousands of forward passes without reallocating;
-//! - [`batched`]: [`batched::stack_rows`], which builds the stacked operands
-//!   the block graph ops ([`Graph::block_matmul`],
-//!   [`Graph::block_matmul_nt`], [`Graph::block_mean_rows`]) are checked
-//!   with: B queries share one tape while staying bit-identical to B
-//!   separate passes, because each block runs the per-query kernel call
-//!   with its fixed accumulation order;
+//! - block ops over B blocks stacked into one tall matrix
+//!   ([`Graph::block_matmul`] and [`Graph::block_matmul_nt`] over
+//!   equal-size blocks, [`Graph::block_mean_rows`] over any sizes): B
+//!   queries share one tape while staying bit-identical to B separate
+//!   passes, because each block runs the per-query kernel call with its
+//!   fixed accumulation order. A lone query is one block;
 //! - [`ParamStore`]/[`AdamConfig`]: parameter storage with AdamW, SGD,
 //!   gradient clipping, and snapshot/restore for meta-learning baselines;
 //! - layers ([`Linear`], [`Mlp`], [`Embedding`], [`LayerNorm`]) and losses
@@ -48,7 +48,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batched;
 mod classes;
 mod graph;
 pub mod kernels;

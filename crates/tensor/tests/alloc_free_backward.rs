@@ -97,10 +97,10 @@ fn params() -> Params {
 
 /// Allocations of a steady-state [`forward`]: the op index list and the
 /// two buffers of the propagation constant that it builds, the lists the
-/// gather, block-mean and sum nodes keep, and LayerNorm's `aux` vector.
-/// Values, row classes and the tables that find them all come from the
-/// tape's pools.
-const FORWARD_ALLOCS: usize = 7;
+/// two gather nodes, the block-mean node and the sum node keep, and
+/// LayerNorm's `aux` vector. Values, row classes and the tables that find
+/// them all come from the tape's pools.
+const FORWARD_ALLOCS: usize = 8;
 
 /// One forward pass touching every predictor op; returns the scalar loss.
 fn forward(g: &mut Graph, p: &Params) -> Var {
@@ -132,15 +132,15 @@ fn forward(g: &mut Graph, p: &Params) -> Var {
     let ctx = g.block_matmul(att, gated, N);
     let ctx = g.sub(ctx, h);
     let normed = g.layer_norm_rows(ctx, gamma, beta);
-    let normed = g.mul_row_broadcast(normed, scale);
+    let normed = g.add_row_broadcast(normed, scale);
     let normed = g.relu(normed);
 
-    // Readout: per-block means next to a repeated whole-stack mean.
+    // Readout: per-block means next to a tiled whole-stack mean.
     let sizes = [N; BLOCKS];
     let pooled = g.block_mean_rows(normed, &sizes);
     let first = g.slice_rows(normed, 0, N);
     let global = g.mean_rows(first);
-    let global = g.repeat_row(global, BLOCKS);
+    let global = g.gather_rows(global, &[0; BLOCKS]);
     let joint = g.concat_cols(pooled, global);
     let score = g.matmul(joint, head);
     let score = g.add_scalar(score, 0.5);

@@ -8,12 +8,27 @@
 
 use proptest::prelude::*;
 
-use nasflat_tensor::batched::stack_rows;
 use nasflat_tensor::{Graph, Tensor};
 
 const MAX_BLOCKS: usize = 16;
 const MAX_BLOCK_ROWS: usize = 6;
 const MAX_COLS: usize = 8;
+
+/// Stacks matrices vertically: `[A; B; …]`, the stacked operand a block
+/// op takes.
+///
+/// # Panics
+/// Panics if `blocks` is empty or column counts differ.
+fn stack_rows(blocks: &[Tensor]) -> Tensor {
+    assert!(!blocks.is_empty(), "stack_rows needs at least one block");
+    let cols = blocks[0].cols();
+    let mut data = Vec::new();
+    for t in blocks {
+        assert_eq!(t.cols(), cols, "stack_rows column mismatch");
+        data.extend_from_slice(t.data());
+    }
+    Tensor::from_vec(data.len() / cols, cols, data)
+}
 
 fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
@@ -139,4 +154,26 @@ proptest! {
             prop_assert_eq!(row, expect, "block {}", i);
         }
     }
+}
+
+fn ramp(rows: usize, cols: usize, seed: f32) -> Tensor {
+    let data = (0..rows * cols)
+        .map(|i| (i as f32 * 0.73 + seed).sin())
+        .collect();
+    Tensor::from_vec(rows, cols, data)
+}
+
+#[test]
+fn stack_rows_concatenates_blocks_in_order() {
+    let blocks = vec![ramp(1, 4, 0.2), ramp(5, 4, 1.2), ramp(2, 4, 2.2)];
+    let stacked = stack_rows(&blocks);
+    assert_eq!(stacked.shape(), (8, 4));
+    let expect: Vec<f32> = blocks.iter().flat_map(|b| b.data().to_vec()).collect();
+    assert_eq!(stacked.data(), &expect[..]);
+}
+
+#[test]
+#[should_panic(expected = "column mismatch")]
+fn stack_rows_rejects_mixed_widths() {
+    let _ = stack_rows(&[ramp(2, 3, 0.0), ramp(2, 4, 0.0)]);
 }

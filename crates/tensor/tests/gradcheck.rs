@@ -154,7 +154,7 @@ fn grad_gather_repeat_mean() {
         let ls = leaves(g, ins);
         let picked = g.gather_rows(ls[0], &[0, 2, 2]);
         let mean = g.mean_rows(picked);
-        let rep = g.repeat_row(mean, 3);
+        let rep = g.gather_rows(mean, &[0, 0, 0]);
         let m = g.mul(rep, picked);
         let s = g.sum_all(m);
         (ls, s)
@@ -248,7 +248,8 @@ fn grad_broadcast_ops() {
     let build: Box<Builder> = Box::new(|g, ins| {
         let ls = leaves(g, ins);
         let added = g.add_row_broadcast(ls[0], ls[1]);
-        let scaled = g.mul_row_broadcast(added, ls[2]);
+        let tiled = g.gather_rows(ls[2], &[0, 0, 0]);
+        let scaled = g.mul(added, tiled);
         let s = g.sum_all(scaled);
         (ls, s)
     });
