@@ -394,22 +394,6 @@ impl TransferredPredictor<'_> {
         })
     }
 
-    /// [`TransferredPredictor::score`] on a reusable
-    /// [`BatchSession`](crate::BatchSession) tape (bit-identical, amortizes
-    /// tape storage across queries).
-    ///
-    /// # Panics
-    /// Panics if `session` was opened on a different predictor — scoring
-    /// would otherwise silently mix that predictor's weights with this
-    /// scorer's supplement configuration.
-    pub fn score_in(&self, session: &mut crate::BatchSession<'_>, arch: &Arch) -> f32 {
-        assert!(
-            std::ptr::eq(session.predictor(), &self.predictor),
-            "session belongs to a different predictor"
-        );
-        session.predict(arch, self.device, self.supp_for(arch).as_deref())
-    }
-
     /// Supplementary rows for a batch (computed iff the config sets a
     /// supplement). Encoding fans out over the parallel layer — per-arch
     /// encodes are pure, so the rows are bit-identical to a sequential

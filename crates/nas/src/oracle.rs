@@ -89,11 +89,6 @@ impl AccuracyOracle {
         let noise = unit_normal(combine(self.seed, fnv1a(&bytes))) * 0.6;
         ((acc + noise) as f32).clamp(8.0, 74.5)
     }
-
-    /// Accuracy for pool architectures by index.
-    pub fn accuracy_indices(&self, pool: &[Arch], indices: &[usize]) -> Vec<f32> {
-        indices.iter().map(|&i| self.accuracy(&pool[i])).collect()
-    }
 }
 
 #[cfg(test)]

@@ -47,7 +47,8 @@ pub use nasflat_nas as nas;
 pub use nasflat_parallel as parallel;
 /// Transfer-set samplers.
 pub use nasflat_sample as sample;
-/// The serving layer: model bundles, predictor registry, dynamic batching.
+/// The serving layer: model bundles, the bundle store, the predictor registry
+/// and the TCP ingress.
 pub use nasflat_serve as serve;
 /// NASBench-201 and FBNet search spaces.
 pub use nasflat_space as space;
@@ -110,7 +111,6 @@ pub struct Pipeline {
     task: TaskSource,
     pool_size: usize,
     fewshot: FewShotConfig,
-    build_suite: bool,
 }
 
 impl Pipeline {
@@ -137,7 +137,6 @@ impl Pipeline {
             task,
             pool_size: 500,
             fewshot,
-            build_suite: true,
         }
     }
 
@@ -204,20 +203,13 @@ impl Pipeline {
         let pool = probe_pool(task.space, self.pool_size, seed);
         let registry = DeviceRegistry::for_space(task.space);
         let table = LatencyTable::build(registry.devices(), &pool);
-        let suite = if self.build_suite {
-            Some(EncodingSuite::build(
-                &pool,
-                &SuiteConfig::quick().with_seed(seed),
-            ))
-        } else {
-            None
-        };
+        let suite = EncodingSuite::build(&pool, &SuiteConfig::quick().with_seed(seed));
         let mut cfg = self.fewshot.clone();
         cfg.predictor.seed = cfg.predictor.seed.wrapping_add(seed);
         if task.space == nasflat_space::Space::Fbnet {
             cfg.predictor = cfg.predictor.for_fbnet();
         }
-        let mut pre = PretrainedTask::build(&task, &pool, &table, suite.as_ref(), cfg);
+        let mut pre = PretrainedTask::build(&task, &pool, &table, Some(&suite), cfg);
         Ok(pre.transfer_all(seed)?)
     }
 }

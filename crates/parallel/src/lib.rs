@@ -75,7 +75,7 @@ thread_local! {
 /// - `None` **after printing a warning** when the value is not an integer
 ///   or is below `min` — again falling back to the caller's default, but
 ///   visibly.
-pub fn env_usize(name: &str, min: usize) -> Option<usize> {
+fn env_usize(name: &str, min: usize) -> Option<usize> {
     parse_env_usize(name, &std::env::var(name).ok()?, min)
 }
 
@@ -105,7 +105,7 @@ fn parse_env_usize(name: &str, raw: &str, min: usize) -> Option<usize> {
 /// The process-wide default thread count: `NASFLAT_THREADS` if set to a
 /// positive integer, otherwise [`std::thread::available_parallelism`]
 /// (falling back to 1 where that is unavailable). Read once per process;
-/// malformed values warn via [`env_usize`] and fall through to the default.
+/// malformed values warn on stderr and fall through to the default.
 pub fn max_threads() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
@@ -156,6 +156,37 @@ fn plan(threads: usize, len: usize) -> usize {
     threads.max(1).min(len)
 }
 
+/// Runs `work` on each part in its own scoped worker (with the
+/// nested-serialization flag set) and concatenates the results in part
+/// order. Every worker is joined; the first worker panic, in part order, is
+/// re-raised in the caller.
+fn run_parts<P, R, W>(n: usize, parts: impl Iterator<Item = P>, work: W) -> Vec<R>
+where
+    P: Send,
+    R: Send,
+    W: Fn(P) -> Vec<R> + Sync,
+{
+    let work = &work;
+    let mut out = Vec::with_capacity(n);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = parts
+            .map(|part| {
+                s.spawn(move || {
+                    IN_WORKER.set(true);
+                    work(part)
+                })
+            })
+            .collect();
+        for h in handles {
+            match h.join() {
+                Ok(part) => out.extend(part),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
+    out
+}
+
 /// Parallel map over a slice with an explicit thread budget; results are in
 /// input order. Prefer [`par_map`] (which respects [`current_threads`])
 /// unless the caller owns its own bound.
@@ -170,27 +201,8 @@ where
     if workers <= 1 {
         return items.iter().map(&f).collect();
     }
-    let chunk = n.div_ceil(workers);
-    let fref = &f;
-    let mut out = Vec::with_capacity(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| {
-                s.spawn(move || {
-                    IN_WORKER.set(true);
-                    c.iter().map(fref).collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(part) => out.extend(part),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-    out
+    let parts = items.chunks(n.div_ceil(workers));
+    run_parts(n, parts, |c| c.iter().map(&f).collect())
 }
 
 /// Parallel map over a slice; results are in input order regardless of the
@@ -219,27 +231,8 @@ where
     if workers <= 1 {
         return items.iter_mut().map(&f).collect();
     }
-    let chunk = n.div_ceil(workers);
-    let fref = &f;
-    let mut out = Vec::with_capacity(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .map(|c| {
-                s.spawn(move || {
-                    IN_WORKER.set(true);
-                    c.iter_mut().map(fref).collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(part) => out.extend(part),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-    out
+    let parts = items.chunks_mut(n.div_ceil(workers));
+    run_parts(n, parts, |c| c.iter_mut().map(&f).collect())
 }
 
 /// Parallel map over the index range `0..n`; results are in index order.
@@ -254,27 +247,10 @@ where
         return (0..n).map(f).collect();
     }
     let chunk = n.div_ceil(workers);
-    let fref = &f;
-    let mut out = Vec::with_capacity(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n.div_ceil(chunk))
-            .map(|w| {
-                let start = w * chunk;
-                let end = (start + chunk).min(n);
-                s.spawn(move || {
-                    IN_WORKER.set(true);
-                    (start..end).map(fref).collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(part) => out.extend(part),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-    });
-    out
+    let parts = (0..n)
+        .step_by(chunk)
+        .map(|start| start..(start + chunk).min(n));
+    run_parts(n, parts, |r| r.map(&f).collect())
 }
 
 /// Parallel map over fixed-size chunks of `items` (the last chunk may be
@@ -519,8 +495,7 @@ mod tests {
         assert_eq!(parse_env_usize("T", "fourteen", 1), None);
         assert_eq!(parse_env_usize("T", "-3", 0), None);
         assert_eq!(parse_env_usize("T", "0", 1), None);
-        // min = 0 admits zero (used by the tape/serve batch knobs, where 0
-        // means "disable batching").
+        // min = 0 admits zero.
         assert_eq!(parse_env_usize("T", "0", 0), Some(0));
     }
 
@@ -536,6 +511,45 @@ mod tests {
             })
         });
         assert!(result.is_err(), "worker panic must not be swallowed");
+    }
+
+    #[test]
+    fn worker_panics_propagate_through_every_scoped_map() {
+        let result = std::panic::catch_unwind(|| {
+            let mut items: Vec<usize> = (0..16).collect();
+            with_threads(4, || {
+                par_map_mut(&mut items, |i| {
+                    assert!(*i != 9, "boom");
+                    *i
+                })
+            })
+        });
+        assert!(result.is_err(), "par_map_mut swallowed a worker panic");
+        let result = std::panic::catch_unwind(|| {
+            with_threads(4, || {
+                par_map_range(16, |i| {
+                    assert!(i != 9, "boom");
+                    i
+                })
+            })
+        });
+        assert!(result.is_err(), "par_map_range swallowed a worker panic");
+    }
+
+    #[test]
+    fn nested_calls_run_serially_through_every_scoped_map() {
+        let mut outer: Vec<usize> = (0..4).collect();
+        let seen = with_threads(4, || par_map_mut(&mut outer, |_| current_threads()));
+        assert!(seen.iter().all(|&t| t == 1), "par_map_mut: {seen:?}");
+        let seen = with_threads(4, || par_map_range(4, |_| current_threads()));
+        assert!(seen.iter().all(|&t| t == 1), "par_map_range: {seen:?}");
+        // And a nested call inside either collapses to one worker.
+        let inner = with_threads(4, || {
+            par_map_range(4, |_| par_map_range(3, |_| std::thread::current().id()))
+        });
+        for ids in &inner {
+            assert!(ids.iter().all(|id| *id == ids[0]), "{inner:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The serving subsystem's unified error type.
 //!
 //! Every fallible public operation in `nasflat-serve` — in-process registry
-//! calls, the dynamic batcher, and the TCP ingress — reports through one
+//! calls, the bundle store, and the TCP ingress — reports through one
 //! [`ServeError`]. The enum is `#[non_exhaustive]`: new failure modes
 //! (e.g. future auth or quota variants) can be added without a breaking
 //! release, so match arms must carry a wildcard.
@@ -19,7 +19,8 @@ use crate::wire::WireFault;
 /// Why a serving operation failed.
 ///
 /// Constructed by every layer of the crate: registry lookups, query
-/// validation, the batcher's admission control, and the wire protocol.
+/// validation, the store's disk I/O, the ingress's admission control, and
+/// the wire protocol.
 /// Variants carrying another error expose it via
 /// [`source`](std::error::Error::source).
 #[non_exhaustive]

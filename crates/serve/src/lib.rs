@@ -10,8 +10,8 @@
 //!   with [`ModelBundle::to_bytes`] and reloaded with
 //!   [`ModelBundle::from_bytes`] serves **bit-identical** predictions.
 //! - [`BundleStore`]: the **model store** behind the registry. A model is
-//!   *hot* (decoded, ready to predict) or *durable* (an `NFB1` file and an
-//!   index row in the store directory). Publishing writes atomically
+//!   *hot* (decoded, ready to predict) or *durable* (one `NFB1` file in the
+//!   store directory, named after the model). Publishing writes atomically
 //!   (write-then-rename), a lookup decodes a durable file on first use, a
 //!   bounded hot tier evicts by LRU back to durable, and corrupt files are
 //!   quarantined instead of retried.

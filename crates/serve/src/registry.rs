@@ -3,8 +3,8 @@
 //!
 //! A serving process keeps every deployed model behind one name-indexed
 //! registry. The registry sits on a [`BundleStore`], so a model may be
-//! **hot** (decoded, ready to predict) or **durable** (a bundle file and
-//! an index row). Lookups transparently decode durable models,
+//! **hot** (decoded, ready to predict) or **durable** (only its bundle
+//! file). Lookups transparently decode durable models,
 //! [`PredictorRegistry::insert`] writes through to the store's disk
 //! directory when it has one, and the hot tier's LRU eviction is invisible
 //! to callers — evicted models reload bit-identically, and any in-flight

@@ -12,44 +12,43 @@
 //!            LRU eviction over capacity (drop the decoded Arc)
 //! ```
 //!
-//! - **durable** — an on-disk directory of `NFB1` files plus a small
-//!   `index.nfbi` mapping names to filenames. Every write goes through a
-//!   temp file followed by an atomic rename, so a crash mid-publish leaves
-//!   either the old bundle or the new one, never a torn file. A file that
-//!   fails to parse is moved to a `quarantine/` subdirectory and its entry
-//!   dropped — corruption surfaces as a clean [`ServeError::Bundle`] chain,
-//!   never a panic, and never a retry loop on the same bad bytes.
+//! - **durable** — an on-disk directory holding one `NFB1` file per model,
+//!   named `enc(name).nfb1`. `enc` percent-encodes every byte outside
+//!   `[A-Za-z0-9_-]` as `%XX`, so the mapping is reversible, two names
+//!   never share a file, and the directory listing *is* the index. A
+//!   publish writes a temp file and renames it into place, so a crash
+//!   mid-publish leaves either the old bundle or the new one, never a torn
+//!   file. A file that fails to parse is moved to a `quarantine/`
+//!   subdirectory and its entry dropped — corruption surfaces as a clean
+//!   [`ServeError::Bundle`] chain, never a panic, and never a retry loop on
+//!   the same bad bytes.
 //! - **hot** — a fully decoded [`Arc<ModelBundle>`] ready to predict. The
 //!   hot tier has a configurable capacity; exceeding it drops the decoded
-//!   bundle of the least-recently-fetched *disk-backed* entry, leaving it
-//!   durable. Because hot bundles are handed out as `Arc`s, eviction is
+//!   bundle of the least-recently-fetched entry, leaving it durable.
+//!   Because hot bundles are handed out as `Arc`s, eviction is
 //!   **pin-safe**: a predict already holding the `Arc` keeps the decoded
 //!   model alive until it finishes, and the later reload decodes the same
 //!   bytes to a bit-identical model, so eviction can never change a result.
 //!
-//! Entries without disk backing (an in-memory store, or a memory-only
-//! publish) are never evicted — dropping the only copy would lose the
-//! model, so the capacity bound applies to what can be faulted back in.
+//! An in-memory store has no directory: its entries are only hot and are
+//! never evicted — dropping the only copy would lose the model.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-use nasflat_tensor::{ByteReader, ByteWriter};
 
 use crate::bundle::{BundleError, ModelBundle};
 use crate::error::ServeError;
 use nasflat_core::ModelIoError;
 
-/// Magic prefix of the store index ("NasFlat Bundle Index v1").
-const INDEX_MAGIC: &[u8; 4] = b"NFBI";
+/// Suffix of every bundle file in a store directory.
+const BUNDLE_SUFFIX: &str = ".nfb1";
 
-/// Index version written by this build.
-const INDEX_VERSION: u32 = 1;
-
-/// Index filename inside a store directory.
-const INDEX_FILE: &str = "index.nfbi";
+/// Extension of the name-to-file index that older store layouts kept. A
+/// directory holding one is refused: its bundle files carry made-up names.
+const OLD_INDEX_EXT: &str = "nfbi";
 
 /// Subdirectory corrupt bundle files are moved into.
 const QUARANTINE_DIR: &str = "quarantine";
@@ -58,8 +57,6 @@ struct Entry {
     /// Process-unique version; bumped only by publish, never by tier moves,
     /// so cached results stay valid across evict/reload cycles.
     version: u64,
-    /// Backing file, when the entry is durable.
-    file: Option<PathBuf>,
     /// The decoded bundle while the entry is hot; `None` while it is only
     /// durable.
     hot: Option<Arc<ModelBundle>>,
@@ -126,6 +123,8 @@ pub struct StoreUpdate {
 /// registry can promote and evict behind a shared read lock. See the
 /// [crate docs](crate) for the tier contracts.
 pub struct BundleStore {
+    /// The durable directory; `None` for an in-memory store. Every entry of
+    /// a durable store has a backing file, `dir.join(file_name(name))`.
     dir: Option<PathBuf>,
     hot_capacity: usize,
     state: Mutex<StoreState>,
@@ -165,57 +164,61 @@ impl BundleStore {
 
     /// Opens (creating if necessary) a durable store rooted at `dir`.
     ///
-    /// Existing bundles listed in the directory's index register in the
-    /// **durable** tier — nothing is parsed or decoded until first use.
-    /// Index entries whose backing file has vanished are dropped.
+    /// Every `enc(name).nfb1` file in the directory registers in the
+    /// **durable** tier — nothing is parsed or decoded until first use —
+    /// with versions assigned in name order. Other files (`.tmp-*`
+    /// leftovers of an interrupted publish, stems that are not a canonical
+    /// encoding, anything else) are ignored and left in place.
     ///
     /// # Errors
-    /// [`ServeError::Io`] when the directory cannot be created or the index
-    /// cannot be read; [`ServeError::Bundle`] when the index file itself is
-    /// malformed.
+    /// [`ServeError::Io`] when the directory cannot be created or listed;
+    /// [`ServeError::Bundle`] when it holds a `.nfbi` index of an older
+    /// store layout, whose bundle files this layout cannot name.
     pub fn open(dir: impl AsRef<Path>, hot_capacity: usize) -> Result<Self, ServeError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let mut entries = HashMap::new();
-        let mut next_version = 1;
-        for (name, filename) in read_index(&dir)? {
-            let path = dir.join(&filename);
-            if !path.is_file() {
-                continue; // stale index row; rewritten on next mutation
+        let mut names = Vec::new();
+        for item in std::fs::read_dir(&dir)? {
+            let path = item?.path();
+            if path.extension().is_some_and(|ext| ext == OLD_INDEX_EXT) {
+                return Err(ServeError::Bundle(BundleError::Model(
+                    ModelIoError::Corrupt(format!(
+                        "{} is the index of an older store layout, which is not read; \
+                         republish its models into an empty directory",
+                        path.display()
+                    )),
+                )));
             }
-            entries.insert(
-                name,
-                Entry {
-                    version: next_version,
-                    file: Some(path),
-                    hot: None,
-                    touch: 0,
-                },
-            );
-            next_version += 1;
+            let name = path
+                .file_name()
+                .and_then(|f| f.to_str())
+                .and_then(|f| f.strip_suffix(BUNDLE_SUFFIX))
+                .and_then(decode_stem);
+            match name {
+                Some(name) if path.is_file() => names.push(name),
+                _ => {}
+            }
         }
+        names.sort();
+        let next_version = names.len() as u64 + 1;
+        let entries = names.into_iter().zip(1..).map(|(name, version)| {
+            let entry = Entry {
+                version,
+                hot: None,
+                touch: 0,
+            };
+            (name, entry)
+        });
         Ok(BundleStore {
             dir: Some(dir),
             hot_capacity,
             state: Mutex::new(StoreState {
-                entries,
+                entries: entries.collect(),
                 tick: 0,
                 next_version,
             }),
-            evictions: AtomicU64::new(0),
-            cold_loads: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
+            ..Self::in_memory()
         })
-    }
-
-    /// The durable directory, when the store has one.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
-    }
-
-    /// The hot-tier capacity (0 = unbounded).
-    pub fn hot_capacity(&self) -> usize {
-        self.hot_capacity
     }
 
     /// Registered model names, unordered.
@@ -233,18 +236,16 @@ impl BundleStore {
         self.len() == 0
     }
 
-    /// Whether a model of this name is registered (in any tier).
-    pub fn contains(&self, name: &str) -> bool {
-        self.state.lock().unwrap().entries.contains_key(name)
-    }
-
     /// Tier occupancy and movement counters.
     pub fn stats(&self) -> TierStats {
         let state = self.state.lock().unwrap();
-        let durable = state.entries.values().filter(|e| e.file.is_some()).count();
         TierStats {
             hot: state.hot_count(),
-            durable,
+            durable: if self.dir.is_some() {
+                state.entries.len()
+            } else {
+                0
+            },
             hot_capacity: self.hot_capacity,
             evictions: self.evictions.load(Ordering::Relaxed),
             cold_loads: self.cold_loads.load(Ordering::Relaxed),
@@ -254,26 +255,20 @@ impl BundleStore {
 
     /// Publishes a bundle under `name`, replacing any previous version.
     ///
-    /// On a durable store the bundle is first written to disk through a
-    /// temp-file + atomic-rename sequence and the index updated, then the
-    /// decoded bundle enters the hot tier (publish implies imminent use).
-    /// Exceeding the hot capacity evicts the least-recently-fetched
-    /// disk-backed entry.
+    /// On a durable store the bundle is first written to disk — a temp
+    /// file renamed over `enc(name).nfb1` — then the decoded bundle enters
+    /// the hot tier (publish implies imminent use). Exceeding the hot
+    /// capacity evicts the least-recently-fetched entry.
     ///
     /// # Errors
-    /// [`ServeError::Io`] when the write-through fails; the in-memory state
+    /// [`ServeError::Io`] when the write-through fails (including a name
+    /// whose encoding is too long for the filesystem); the in-memory state
     /// is left unchanged in that case.
     pub fn publish(&self, name: &str, bundle: ModelBundle) -> Result<StoreUpdate, ServeError> {
         let mut state = self.state.lock().unwrap();
-        let file = match &self.dir {
-            None => None,
-            Some(dir) => {
-                let filename = self.choose_filename(&state, name);
-                let path = dir.join(&filename);
-                write_atomic(dir, &path, &bundle.to_bytes())?;
-                Some(path)
-            }
-        };
+        if let Some(dir) = &self.dir {
+            write_atomic(dir, &file_name(name), &bundle.to_bytes())?;
+        }
         let version = state.next_version();
         let touch = state.next_touch();
         let arc = Arc::new(bundle);
@@ -283,15 +278,11 @@ impl BundleStore {
                 name.to_string(),
                 Entry {
                     version,
-                    file,
                     hot: Some(Arc::clone(&arc)),
                     touch,
                 },
             )
             .map(|old| old.version);
-        if let Some(dir) = &self.dir {
-            write_index(dir, &state)?;
-        }
         self.evict_excess(&mut state);
         Ok(StoreUpdate {
             version,
@@ -319,7 +310,7 @@ impl BundleStore {
     /// failure (the entry is kept — the fault may be transient).
     pub fn fetch(&self, name: &str) -> Result<(u64, Arc<ModelBundle>), ServeError> {
         loop {
-            let (version, path) = {
+            let version = {
                 let mut state = self.state.lock().unwrap();
                 let touch = state.next_touch();
                 let entry = state
@@ -330,13 +321,13 @@ impl BundleStore {
                     entry.touch = touch;
                     return Ok((entry.version, Arc::clone(bundle)));
                 }
-                let path = entry
-                    .file
-                    .clone()
-                    .expect("entries that are not hot always have a backing file");
-                (entry.version, path)
+                entry.version
             };
-            let loaded = ModelBundle::load_path(&path);
+            let dir = self
+                .dir
+                .as_ref()
+                .expect("entries that are not hot always have a backing file");
+            let loaded = ModelBundle::load_path(&dir.join(file_name(name)));
             let mut state = self.state.lock().unwrap();
             let touch = state.next_touch();
             match state.entries.get_mut(name) {
@@ -362,46 +353,32 @@ impl BundleStore {
         }
     }
 
-    /// The current version of `name`, when registered.
-    pub fn version_of(&self, name: &str) -> Option<u64> {
-        self.state
-            .lock()
-            .unwrap()
-            .entries
-            .get(name)
-            .map(|e| e.version)
-    }
-
-    /// Removes `name` from the store, deleting its backing file and index
-    /// row. Returns the removed version, or `None` if the name was not
-    /// registered. In-flight predicts holding the bundle's `Arc` are
-    /// unaffected.
+    /// Removes `name` from the store, deleting its backing file. Returns
+    /// the removed version, or `None` if the name was not registered.
+    /// In-flight predicts holding the bundle's `Arc` are unaffected.
     ///
     /// # Errors
-    /// [`ServeError::Io`] when the file or index cannot be updated; the
-    /// entry is removed from memory regardless.
+    /// [`ServeError::Io`] when the file cannot be deleted; the entry is
+    /// removed from memory regardless.
     pub fn remove(&self, name: &str) -> Result<Option<u64>, ServeError> {
         let mut state = self.state.lock().unwrap();
         let Some(entry) = state.entries.remove(name) else {
             return Ok(None);
         };
-        if let Some(path) = &entry.file {
-            match std::fs::remove_file(path) {
+        if let Some(dir) = &self.dir {
+            match std::fs::remove_file(dir.join(file_name(name))) {
                 Ok(()) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                 Err(e) => return Err(e.into()),
             }
         }
-        if let Some(dir) = &self.dir {
-            write_index(dir, &state)?;
-        }
         Ok(Some(entry.version))
     }
 
     /// Evicts hot entries (LRU-first) until the hot tier fits its
-    /// capacity. Only disk-backed entries are candidates: eviction drops the
-    /// decoded bundle and leaves the entry durable, so it never touches the
-    /// disk.
+    /// capacity. A bounded store is always durable, so every entry is a
+    /// candidate: eviction drops the decoded bundle and leaves the entry
+    /// durable, so it never touches the disk.
     fn evict_excess(&self, state: &mut StoreState) {
         if self.hot_capacity == 0 {
             return;
@@ -409,14 +386,11 @@ impl BundleStore {
         while state.hot_count() > self.hot_capacity {
             let victim = state
                 .entries
-                .iter()
-                .filter(|(_, e)| e.hot.is_some() && e.file.is_some())
-                .min_by_key(|(_, e)| e.touch)
-                .map(|(name, _)| name.clone());
-            let Some(name) = victim else {
-                break; // nothing evictable (memory-only residents)
-            };
-            state.entries.get_mut(&name).expect("victim present").hot = None;
+                .values_mut()
+                .filter(|e| e.hot.is_some())
+                .min_by_key(|e| e.touch)
+                .expect("more hot entries than a nonzero capacity");
+            victim.hot = None;
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -429,158 +403,77 @@ impl BundleStore {
         if !matches!(err, ServeError::Bundle(_)) {
             return err;
         }
-        let Some(entry) = state.entries.remove(name) else {
+        if state.entries.remove(name).is_none() {
             return err;
-        };
-        if let (Some(dir), Some(path)) = (&self.dir, &entry.file) {
-            let _ = quarantine_file(dir, path);
-            let _ = write_index(dir, state);
+        }
+        if let Some(dir) = &self.dir {
+            let _ = quarantine_file(dir, &file_name(name));
             self.quarantined.fetch_add(1, Ordering::Relaxed);
         }
         err
     }
-
-    /// A filename for `name` that no other entry uses: a sanitized prefix
-    /// plus a hash suffix, so distinct names never fight over one file and
-    /// republishes overwrite in place.
-    fn choose_filename(&self, state: &StoreState, name: &str) -> String {
-        if let Some(existing) = state.entries.get(name).and_then(|e| e.file.as_ref()) {
-            if let Some(f) = existing.file_name().and_then(|f| f.to_str()) {
-                return f.to_string();
-            }
-        }
-        let sanitized: String = name
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' || c == '_' || c == '.' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .take(64)
-            .collect();
-        let taken: std::collections::HashSet<&str> = state
-            .entries
-            .values()
-            .filter_map(|e| e.file.as_ref())
-            .filter_map(|p| p.file_name().and_then(|f| f.to_str()))
-            .collect();
-        let base = format!("{sanitized}-{:08x}", fnv1a64(name.as_bytes()) as u32);
-        let mut candidate = format!("{base}.nfb1");
-        let mut bump = 1u32;
-        while taken.contains(candidate.as_str()) {
-            candidate = format!("{base}-{bump}.nfb1");
-            bump += 1;
-        }
-        candidate
-    }
 }
 
-/// 64-bit FNV-1a over `bytes` — a tiny stable hash for filename suffixes.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// The file that backs `name` in a store directory: `enc(name)` plus
+/// [`BUNDLE_SUFFIX`], where `enc` keeps `[A-Za-z0-9_-]` and writes every
+/// other byte as `%XX` (upper-case hex).
+fn file_name(name: &str) -> String {
+    let mut out = String::with_capacity(name.len() + BUNDLE_SUFFIX.len());
+    for &b in name.as_bytes() {
+        if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' {
+            out.push(char::from(b));
+        } else {
+            let _ = write!(out, "%{b:02X}");
+        }
     }
-    h
+    out.push_str(BUNDLE_SUFFIX);
+    out
 }
 
-/// Writes `bytes` to `path` via a temp file in `dir` plus an atomic rename:
-/// a crash leaves either the previous file or the complete new one.
-fn write_atomic(dir: &Path, path: &Path, bytes: &[u8]) -> Result<(), ServeError> {
-    let tmp = dir.join(format!(
-        ".tmp-{}",
-        path.file_name()
-            .and_then(|f| f.to_str())
-            .unwrap_or("bundle.nfb1")
-    ));
+/// The name whose file stem is `stem`, when `stem` is exactly the
+/// canonical encoding [`file_name`] writes; `None` for anything else
+/// (stray files, lower-case hex, bytes that should have been escaped).
+fn decode_stem(stem: &str) -> Option<String> {
+    let bytes = stem.as_bytes();
+    let mut out = Vec::with_capacity(bytes.len());
+    let mut i = 0;
+    while i < bytes.len() {
+        if bytes[i] == b'%' {
+            out.push(u8::from_str_radix(stem.get(i + 1..i + 3)?, 16).ok()?);
+            i += 3;
+        } else {
+            out.push(bytes[i]);
+            i += 1;
+        }
+    }
+    let name = String::from_utf8(out).ok()?;
+    (file_name(&name).strip_suffix(BUNDLE_SUFFIX) == Some(stem)).then_some(name)
+}
+
+/// Writes `bytes` to `dir/file` via a temp file in `dir` plus an atomic
+/// rename: a crash leaves either the previous file or the complete new one.
+fn write_atomic(dir: &Path, file: &str, bytes: &[u8]) -> Result<(), ServeError> {
+    let tmp = dir.join(format!(".tmp-{file}"));
     std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path).map_err(|e| {
+    std::fs::rename(&tmp, dir.join(file)).map_err(|e| {
         let _ = std::fs::remove_file(&tmp);
         ServeError::Io(e)
     })
 }
 
-/// Moves a corrupt bundle file into the quarantine subdirectory, bumping a
-/// numeric suffix if a previous quarantine already claimed the name.
-fn quarantine_file(dir: &Path, path: &Path) -> std::io::Result<()> {
+/// Moves the corrupt bundle `dir/file` into the quarantine subdirectory,
+/// bumping a numeric suffix if a previous quarantine already claimed the
+/// name.
+fn quarantine_file(dir: &Path, file: &str) -> std::io::Result<()> {
     let qdir = dir.join(QUARANTINE_DIR);
     std::fs::create_dir_all(&qdir)?;
-    let filename = path
-        .file_name()
-        .and_then(|f| f.to_str())
-        .unwrap_or("bundle.nfb1")
-        .to_string();
-    let mut target = qdir.join(&filename);
+    let mut target = qdir.join(file);
     let mut bump = 1u32;
     while target.exists() {
-        target = qdir.join(format!("{filename}.{bump}"));
+        target = qdir.join(format!("{file}.{bump}"));
         bump += 1;
     }
-    std::fs::rename(path, target)
-}
-
-/// Reads the store index: `(name, filename)` rows in stored order. A
-/// missing index is an empty store.
-fn read_index(dir: &Path) -> Result<Vec<(String, String)>, ServeError> {
-    let path = dir.join(INDEX_FILE);
-    let bytes = match std::fs::read(&path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e.into()),
-    };
-    let corrupt = |detail: String| {
-        ServeError::Bundle(BundleError::Model(ModelIoError::Corrupt(format!(
-            "store index: {detail}"
-        ))))
-    };
-    let mut r = ByteReader::new(&bytes);
-    if r.get_raw(4)
-        .map_err(|_| corrupt("truncated magic".into()))?
-        != INDEX_MAGIC
-    {
-        return Err(corrupt("bad magic".into()));
-    }
-    let version = r.get_u32().map_err(|e| corrupt(e.to_string()))?;
-    if version != INDEX_VERSION {
-        return Err(corrupt(format!("unsupported version {version}")));
-    }
-    let count = r.get_len().map_err(|e| corrupt(e.to_string()))?;
-    if count > r.remaining() / 8 {
-        return Err(corrupt("declared row count exceeds file size".into()));
-    }
-    let mut rows = Vec::with_capacity(count);
-    for _ in 0..count {
-        let name = r.get_str().map_err(|e| corrupt(e.to_string()))?.to_string();
-        let file = r.get_str().map_err(|e| corrupt(e.to_string()))?.to_string();
-        rows.push((name, file));
-    }
-    if !r.is_empty() {
-        return Err(corrupt(format!("{} trailing bytes", r.remaining())));
-    }
-    Ok(rows)
-}
-
-/// Atomically rewrites the index from the disk-backed entries, sorted by
-/// name so the file is deterministic for a given store population.
-fn write_index(dir: &Path, state: &StoreState) -> Result<(), ServeError> {
-    let mut rows: Vec<(&String, &PathBuf)> = state
-        .entries
-        .iter()
-        .filter_map(|(name, e)| e.file.as_ref().map(|f| (name, f)))
-        .collect();
-    rows.sort_by(|a, b| a.0.cmp(b.0));
-    let mut w = ByteWriter::new();
-    w.put_raw(INDEX_MAGIC);
-    w.put_u32(INDEX_VERSION);
-    w.put_len(rows.len());
-    for (name, file) in rows {
-        w.put_str(name);
-        w.put_str(file.file_name().and_then(|f| f.to_str()).unwrap_or(""));
-    }
-    write_atomic(dir, &dir.join(INDEX_FILE), &w.into_vec())
+    std::fs::rename(dir.join(file), target)
 }
 
 #[cfg(test)]
@@ -750,20 +643,11 @@ mod tests {
     #[test]
     fn corrupt_file_is_quarantined_not_panicked() {
         let dir = tmp_dir("quarantine");
-        let filename;
         {
             let store = BundleStore::open(&dir, 0).unwrap();
             store.publish("bad", bundle(9)).unwrap();
-            let state = store.state.lock().unwrap();
-            filename = state.entries["bad"]
-                .file
-                .clone()
-                .unwrap()
-                .file_name()
-                .unwrap()
-                .to_string_lossy()
-                .into_owned();
         }
+        let filename = file_name("bad");
         // Truncate the file on disk.
         let path = dir.join(&filename);
         let bytes = std::fs::read(&path).unwrap();
@@ -781,16 +665,18 @@ mod tests {
         ));
         // A reopened store no longer lists it either.
         let store = BundleStore::open(&dir, 0).unwrap();
-        assert!(!store.contains("bad"));
+        assert!(store.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn remove_deletes_file_and_index_row() {
+    fn remove_deletes_the_backing_file() {
         let dir = tmp_dir("remove");
         let store = BundleStore::open(&dir, 0).unwrap();
         store.publish("gone", bundle(3)).unwrap();
+        assert!(dir.join(file_name("gone")).is_file());
         assert!(store.remove("gone").unwrap().is_some());
+        assert!(!dir.join(file_name("gone")).exists());
         assert!(store.remove("gone").unwrap().is_none());
         let store = BundleStore::open(&dir, 0).unwrap();
         assert!(store.is_empty());
@@ -805,13 +691,121 @@ mod tests {
         let up2 = store.publish("m", bundle(2)).unwrap();
         assert_eq!(up2.replaced, Some(up1.version));
         assert!(up2.version > up1.version);
-        // One bundle file + the index: the swap overwrote in place.
-        let files: Vec<_> = std::fs::read_dir(&dir)
+        // One file and nothing else: the swap overwrote it in place.
+        assert_eq!(listing(&dir), vec!["m.nfb1".to_string()]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every entry of `dir`, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
             .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".nfb1"))
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
-        assert_eq!(files.len(), 1, "{files:?}");
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn file_names_escape_every_byte_outside_the_safe_set() {
+        assert_eq!(file_name("nb201"), "nb201.nfb1");
+        assert_eq!(file_name("fb_net-2"), "fb_net-2.nfb1");
+        assert_eq!(file_name(""), ".nfb1");
+        assert_eq!(file_name("a/b.c"), "a%2Fb%2Ec.nfb1");
+        assert_eq!(file_name("50% off"), "50%25%20off.nfb1");
+        assert_eq!(file_name("é"), "%C3%A9.nfb1");
+        for stem in ["nb201", "", "a%2Fb%2Ec", "%C3%A9"] {
+            let name = decode_stem(stem).unwrap();
+            assert_eq!(file_name(&name), format!("{stem}{BUNDLE_SUFFIX}"));
+        }
+        // Anything but the exact encoding is not a store file.
+        for stem in [
+            "a%2fb", "%41", "a.b", "%2", "%zz", "%+1", "%FF", ".tmp-m", "a b",
+        ] {
+            assert_eq!(decode_stem(stem), None, "{stem:?}");
+        }
+    }
+
+    #[test]
+    fn awkward_names_round_trip_through_reopen_as_their_own_files() {
+        let dir = tmp_dir("awkward");
+        let names = [
+            "a/b",
+            "../up",
+            "v1.2",
+            "100%",
+            "%41",
+            "two words",
+            "naïve-模型",
+            ".tmp-m",
+            "",
+        ];
+        let arch = Arch::nb201_from_index(321);
+        let expect: Vec<u32> = {
+            let store = BundleStore::open(&dir, 0).unwrap();
+            names
+                .iter()
+                .zip(0..)
+                .map(|(name, seed)| {
+                    let up = store.publish(name, bundle(40 + seed)).unwrap();
+                    up.bundle.predict_one(&arch, 1).to_bits()
+                })
+                .collect()
+        };
+        // One file per name, named by its encoding, and nothing else.
+        let mut files: Vec<String> = names.iter().map(|n| file_name(n)).collect();
+        files.sort();
+        assert_eq!(listing(&dir), files);
+        // Reopened, every name is back under itself and fetches bit-identically.
+        let store = BundleStore::open(&dir, 0).unwrap();
+        let mut listed = store.names();
+        listed.sort();
+        let mut sorted = names.map(String::from).to_vec();
+        sorted.sort();
+        assert_eq!(listed, sorted);
+        for (name, &bits) in names.iter().zip(&expect) {
+            let (_, b) = store.fetch(name).unwrap();
+            assert_eq!(b.predict_one(&arch, 1).to_bits(), bits, "{name:?}");
+        }
+        // Versions follow name order, as the store assigns them on open.
+        let state = store.state.lock().unwrap();
+        let versions: Vec<u64> = sorted.iter().map(|n| state.entries[n].version).collect();
+        assert_eq!(versions, (1..=names.len() as u64).collect::<Vec<_>>());
+        drop(state);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_ignores_and_keeps_files_that_are_not_store_entries() {
+        let dir = tmp_dir("strays");
+        {
+            let store = BundleStore::open(&dir, 0).unwrap();
+            store.publish("m", bundle(4)).unwrap();
+        }
+        let strays = [".tmp-x.nfb1", "README", "a%2fb.nfb1"];
+        for stray in strays {
+            std::fs::write(dir.join(stray), b"not a bundle").unwrap();
+        }
+        let store = BundleStore::open(&dir, 0).unwrap();
+        assert_eq!(store.names(), vec!["m".to_string()]);
+        store.fetch("m").unwrap();
+        for stray in strays {
+            assert!(dir.join(stray).is_file(), "{stray} was touched");
+        }
+        assert_eq!(store.stats().quarantined, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_directory_with_an_old_index_is_refused() {
+        let dir = tmp_dir("old_layout");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(format!("index.{OLD_INDEX_EXT}")), b"old index").unwrap();
+        std::fs::write(dir.join("m-1a2b3c4d.nfb1"), bundle(5).to_bytes()).unwrap();
+        let err = BundleStore::open(&dir, 0).unwrap_err();
+        assert!(matches!(err, ServeError::Bundle(_)), "{err}");
+        // Refused, not migrated: both files are as they were.
+        assert_eq!(listing(&dir).len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

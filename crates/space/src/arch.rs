@@ -44,14 +44,6 @@ impl Space {
         self.genotype_len() + 2
     }
 
-    /// Human-readable operation names indexed by genotype value.
-    pub fn op_names(self) -> &'static [&'static str] {
-        match self {
-            Space::Nb201 => nb201::NB201_OPS,
-            Space::Fbnet => fbnet::FBNET_BLOCKS,
-        }
-    }
-
     /// Total number of unique architectures (`None` for FBNet, which is
     /// astronomically large and handled through a sampled pool).
     pub fn num_archs(self) -> Option<u64> {

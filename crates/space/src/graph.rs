@@ -65,11 +65,6 @@ impl ArchGraph {
         self.adj[i * self.num_nodes + j]
     }
 
-    /// Row-major dense adjacency matrix.
-    pub fn adj_matrix(&self) -> &[f32] {
-        &self.adj
-    }
-
     /// Operation id per node.
     pub fn ops(&self) -> &[usize] {
         &self.ops
@@ -143,12 +138,6 @@ impl ArchGraph {
             }
         }
         m
-    }
-
-    /// Nodes in topological order (indices are already topological by
-    /// construction).
-    pub fn topo_order(&self) -> Vec<usize> {
-        (0..self.num_nodes).collect()
     }
 }
 

@@ -86,11 +86,6 @@ impl Linear {
         let xw = g.matmul(x, w);
         g.add_row_broadcast(xw, b)
     }
-
-    /// Weight parameter id (for ablations that inspect or tie weights).
-    pub fn weight_id(&self) -> ParamId {
-        self.w
-    }
 }
 
 /// Multi-layer perceptron with a shared hidden activation and linear output.

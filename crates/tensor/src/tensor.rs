@@ -271,11 +271,6 @@ impl Tensor {
         self.data.iter().sum()
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
-
     /// True when any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|v| !v.is_finite())
